@@ -15,7 +15,7 @@ int main() {
 
   bench::Table table({"read prob", "framework",
                       "median (ms, paper-scale)", "p99 (ms, paper-scale)",
-                      "txns"});
+                      "txns", "failed"});
   for (double prob : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     for (Flavor flavor : kAllFlavors) {
       auto config = bench::rc_config(flavor);
@@ -37,7 +37,8 @@ int main() {
                  bench::fmt(
                      bench::descale_ms(result.txn_latency.percentile_ms(99)),
                      1),
-                 std::to_string(result.committed)});
+                 std::to_string(result.committed),
+                 std::to_string(result.failed)});
     }
   }
   table.print();

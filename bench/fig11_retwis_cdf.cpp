@@ -17,6 +17,7 @@ int main() {
     Flavor flavor;
     stats::Histogram hist;
     double mean_ms = 0;
+    std::uint64_t failed = 0;
   };
   std::vector<Series> series;
   for (Flavor flavor : kAllFlavors) {
@@ -28,7 +29,7 @@ int main() {
         wl::run_rc_closed_loop(cluster, bench::retwis_factory(workload, 777),
                                bench::warmup(), bench::measure());
     Series s{flavor, result.txn_latency,
-             bench::descale_ms(result.txn_latency.mean_ms())};
+             bench::descale_ms(result.txn_latency.mean_ms()), result.failed};
     series.push_back(std::move(s));
   }
 
@@ -47,6 +48,10 @@ int main() {
   std::printf("\nmean completion (paper-scale ms): gRPC %.1f, TradRPC %.1f, "
               "SpecRPC %.1f\n",
               series[0].mean_ms, series[1].mean_ms, series[2].mean_ms);
+  std::printf("failed txns: gRPC %llu, TradRPC %llu, SpecRPC %llu\n",
+              static_cast<unsigned long long>(series[0].failed),
+              static_cast<unsigned long long>(series[1].failed),
+              static_cast<unsigned long long>(series[2].failed));
   std::printf("SpecRPC mean reduction vs gRPC: %.0f%% (paper: 58%%)\n",
               100.0 * (1.0 - series[2].mean_ms / series[0].mean_ms));
   return 0;

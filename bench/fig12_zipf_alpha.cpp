@@ -15,7 +15,7 @@ int main() {
   bench::banner("Figure 12", "Retwis abort rate & throughput vs Zipf alpha");
 
   bench::Table table({"alpha", "framework", "abort rate (%)",
-                      "committed/s", "aborted/s"});
+                      "committed/s", "aborted/s", "failed"});
   for (double alpha : {0.5, 0.7, 0.9, 1.1, 1.3}) {
     for (Flavor flavor : kAllFlavors) {
       auto config = bench::rc_config(flavor);
@@ -31,7 +31,8 @@ int main() {
       table.row({bench::fmt(alpha, 1), to_string(flavor),
                  bench::fmt(100.0 * result.abort_rate(), 2),
                  bench::fmt(result.committed_per_s(), 1),
-                 bench::fmt(result.aborted / result.elapsed_s, 1)});
+                 bench::fmt(result.aborted / result.elapsed_s, 1),
+                 std::to_string(result.failed)});
     }
   }
   table.print();

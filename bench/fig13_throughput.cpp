@@ -67,10 +67,11 @@ int main() {
             cluster,
             bench::retwis_factory(workload, 40'000 + clients * 10 + cores),
             bench::warmup(), bench::measure());
-        std::printf("  [%s cores=%d clients/DC=%d] %.1f txn/s, %.1f ms\n",
-                    to_string(flavor), cores, clients,
-                    result.committed_per_s(),
-                    bench::descale_ms(result.txn_latency.mean_ms()));
+        std::printf(
+            "  [%s cores=%d clients/DC=%d] %.1f txn/s, %.1f ms, %llu failed\n",
+            to_string(flavor), cores, clients, result.committed_per_s(),
+            bench::descale_ms(result.txn_latency.mean_ms()),
+            static_cast<unsigned long long>(result.failed));
         table.row({to_string(flavor), std::to_string(cores),
                    std::to_string(clients),
                    bench::fmt(result.committed_per_s(), 1),

@@ -22,14 +22,19 @@ int main() {
   // Baselines do not use predictions: one run each.
   double grpc_ms = 0;
   double trad_ms = 0;
+  std::uint64_t failed = 0;  // thrown requests over every run
+  const auto run = [&failed](const wl::MicroConfig& config) {
+    const auto result =
+        wl::run_microbench(config, bench::warmup(), bench::measure());
+    failed += result.failed;
+    return result.mean_ms();
+  };
   {
     auto config = base;
     config.flavor = Flavor::kGrpc;
-    grpc_ms = wl::run_microbench(config, bench::warmup(), bench::measure())
-                  .mean_ms();
+    grpc_ms = run(config);
     config.flavor = Flavor::kTrad;
-    trad_ms = wl::run_microbench(config, bench::warmup(), bench::measure())
-                  .mean_ms();
+    trad_ms = run(config);
   }
 
   bench::Table table({"correct prediction rate (%)", "gRPC (ms)",
@@ -40,9 +45,7 @@ int main() {
     config.flavor = Flavor::kSpec;
     config.correct_rate = rate / 100.0;
     config.seed = 7 + static_cast<std::uint64_t>(rate);
-    const auto result =
-        wl::run_microbench(config, bench::warmup(), bench::measure());
-    const double spec_ms = result.mean_ms();
+    const double spec_ms = run(config);
     // Adaptive series: the same oracle accuracy, but predictions flow
     // through the supplier hook behind the AdaptiveSpeculationController —
     // below break-even accuracy the gate closes and the curve flattens at
@@ -50,15 +53,15 @@ int main() {
     auto adaptive_config = config;
     adaptive_config.predict.oracle = true;
     adaptive_config.predict.adaptive = true;
-    const double adaptive_ms =
-        wl::run_microbench(adaptive_config, bench::warmup(), bench::measure())
-            .mean_ms();
+    const double adaptive_ms = run(adaptive_config);
     table.row({std::to_string(rate), bench::fmt(grpc_ms),
                bench::fmt(trad_ms), bench::fmt(spec_ms),
                bench::fmt(adaptive_ms),
                bench::fmt(100.0 * (1.0 - spec_ms / grpc_ms), 1)});
   }
   table.print();
+  std::printf("failed requests (all runs): %llu\n",
+              static_cast<unsigned long long>(failed));
   std::printf("\nPaper shape: baselines flat (~41 / ~40.5 ms); SpecRPC "
               "falls to ~1 RPC time at 100%% (-75%%), ~40%% reduction at "
               "50%%, and ~TradRPC+0.1ms at 0%%. The adaptive series tracks "

@@ -15,6 +15,7 @@ int main() {
 
   bench::Table table({"# RPCs/request", "gRPC (ms)", "TradRPC (ms)",
                       "SpecRPC (ms)"});
+  std::uint64_t failed = 0;  // thrown requests over every run
   for (int chain : {1, 2, 4, 6, 8, 10}) {
     std::vector<std::string> row{std::to_string(chain)};
     for (Flavor flavor : kAllFlavors) {
@@ -27,10 +28,13 @@ int main() {
       const auto result =
           wl::run_microbench(config, bench::warmup(), bench::measure());
       row.push_back(bench::fmt(result.mean_ms()));
+      failed += result.failed;
     }
     table.row(row);
   }
   table.print();
+  std::printf("failed requests (all runs): %llu\n",
+              static_cast<unsigned long long>(failed));
   std::printf("\nPaper shape: baselines linear in chain length; SpecRPC "
               "nearly flat.\n");
   return 0;

@@ -14,7 +14,7 @@ int main() {
   bench::banner("Figure 8c", "network bandwidth usage (microbench, 90% rate)");
 
   bench::Table table({"framework", "client send (kbps)", "client recv (kbps)",
-                      "server send (kbps)", "server recv (kbps)"});
+                      "server send (kbps)", "server recv (kbps)", "failed"});
   for (Flavor flavor : kAllFlavors) {
     wl::MicroConfig config;
     config.flavor = flavor;
@@ -25,7 +25,8 @@ int main() {
     table.row({to_string(flavor), bench::fmt(result.client_send_kbps(), 1),
                bench::fmt(result.client_recv_kbps(), 1),
                bench::fmt(result.server_send_kbps(), 1),
-               bench::fmt(result.server_recv_kbps(), 1)});
+               bench::fmt(result.server_recv_kbps(), 1),
+               std::to_string(result.failed)});
   }
   table.print();
   std::printf("\nPaper shape: gRPC < TradRPC < SpecRPC on every series.\n");

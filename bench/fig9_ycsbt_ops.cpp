@@ -16,7 +16,7 @@ int main() {
   bench::banner("Figure 9", "RC txn completion & commit latency vs ops/txn");
 
   bench::Table table({"ops/txn", "framework", "completion (ms, paper-scale)",
-                      "commit latency (ms, paper-scale)", "txns"});
+                      "commit latency (ms, paper-scale)", "txns", "failed"});
   double first_spec = 0;
   double last_spec = 0;
   double first_trad = 0;
@@ -37,7 +37,8 @@ int main() {
       const double commit =
           bench::descale_ms(result.commit_latency.mean_ms());
       table.row({std::to_string(ops), to_string(flavor), bench::fmt(mean, 1),
-                 bench::fmt(commit, 1), std::to_string(result.committed)});
+                 bench::fmt(commit, 1), std::to_string(result.committed),
+                 std::to_string(result.failed)});
       if (flavor == Flavor::kSpec) {
         if (ops == 5) first_spec = mean;
         if (ops == 50) last_spec = mean;

@@ -174,6 +174,7 @@ struct ModeResult {
   double committed_per_s = 0;
   double abort_rate = 0;
   std::uint64_t epochs = 0;
+  std::uint64_t failed = 0;  // epochs that threw
   double mean_epoch_ms = 0;
   double p99_epoch_ms = 0;
   double mean_commit_ms = 0;
@@ -202,6 +203,7 @@ ModeResult run_throughput(BatchMode mode, double hot_fraction,
   out.committed_per_s = r.committed_per_s();
   out.abort_rate = r.abort_rate();
   out.epochs = r.epochs;
+  out.failed = r.failed;
   out.mean_epoch_ms = r.epoch_latency.mean_ms();
   out.p99_epoch_ms = r.epoch_latency.percentile_ms(99);
   out.mean_commit_ms = r.commit_latency.mean_ms();
@@ -316,8 +318,11 @@ int main() {
     const auto total = r.committed + r.aborted;
     process_abort =
         total > 0 ? static_cast<double>(r.aborted) / total : 0;
-    std::printf("\ncross-process (speculative, hot=%.2f): %s, %.0f txn/s\n",
-                fracs.back(), r.ok ? "ok" : r.error.c_str(), process_per_s);
+    std::printf(
+        "\ncross-process (speculative, hot=%.2f): %s, %.0f txn/s, %llu "
+        "failed\n",
+        fracs.back(), r.ok ? "ok" : r.error.c_str(), process_per_s,
+        static_cast<unsigned long long>(r.failed));
   } else {
     std::printf("\ncross-process point skipped (no rc_cluster_node)\n");
   }
@@ -345,13 +350,14 @@ int main() {
       std::fprintf(
           f,
           "     \"%s\": {\"committed_per_s\": %.0f, \"abort_rate\": %.4f, "
-          "\"epochs\": %llu,\n"
+          "\"epochs\": %llu, \"failed\": %llu,\n"
           "       \"mean_epoch_ms\": %.3f, \"p99_epoch_ms\": %.3f, "
           "\"mean_commit_ms\": %.3f,\n"
           "       \"predictions_made\": %llu, \"predictions_correct\": %llu, "
           "\"predictions_incorrect\": %llu}%s\n",
           batch::to_string(kModes[m]), r.committed_per_s, r.abort_rate,
-          static_cast<unsigned long long>(r.epochs), r.mean_epoch_ms,
+          static_cast<unsigned long long>(r.epochs),
+          static_cast<unsigned long long>(r.failed), r.mean_epoch_ms,
           r.p99_epoch_ms, r.mean_commit_ms,
           static_cast<unsigned long long>(r.predictions_made),
           static_cast<unsigned long long>(r.predictions_correct),

@@ -221,6 +221,7 @@ struct PhaseResult {
   double committed_per_s = 0;
   double abort_rate = 0;
   std::uint64_t epochs = 0;
+  std::uint64_t failed = 0;  // epochs that threw
   double mean_epoch_ms = 0;
   /// Adaptive config only: controller snapshot at the end of the phase
   /// (cumulative counters; gauges are phase-end values).
@@ -265,6 +266,7 @@ ConfigResult run_schedule(const BenchConfig& bc, int clients_per_dc,
     pr.committed_per_s = r.committed_per_s();
     pr.abort_rate = r.abort_rate();
     pr.epochs = r.epochs;
+    pr.failed = r.failed;
     pr.mean_epoch_ms = r.epoch_latency.mean_ms();
     if (bc.adaptive) pr.ctl_after = cluster.adaptive_batch_stats();
     total_committed += static_cast<double>(r.committed);
@@ -421,9 +423,11 @@ int main() {
     for (int p = 0; p < kNumPhases; ++p) {
       std::fprintf(f,
                    "{\"committed_per_s\": %.0f, \"abort_rate\": %.4f, "
-                   "\"epochs\": %llu, \"mean_epoch_ms\": %.3f}%s",
+                   "\"epochs\": %llu, \"failed\": %llu, "
+                   "\"mean_epoch_ms\": %.3f}%s",
                    r.phases[p].committed_per_s, r.phases[p].abort_rate,
                    static_cast<unsigned long long>(r.phases[p].epochs),
+                   static_cast<unsigned long long>(r.phases[p].failed),
                    r.phases[p].mean_epoch_ms, p + 1 < kNumPhases ? ", " : "");
     }
     std::fprintf(f, "]}%s\n", c + 1 < kNumConfigs ? "," : "");

@@ -42,6 +42,7 @@ struct Point {
   double mean_ms = 0;
   double p99_ms = 0;
   std::uint64_t requests = 0;
+  std::uint64_t failed = 0;  // requests that threw
   double hit_rate = 0;           // engine-observed prediction accuracy
   std::uint64_t predictions = 0;  // branches spawned from predictions
   std::uint64_t reexecutions = 0;
@@ -97,6 +98,7 @@ Point run_point(const std::string& workload, const std::string& mode,
   p.mean_ms = result.mean_ms();
   p.p99_ms = result.latency.percentile_ms(99);
   p.requests = result.requests;
+  p.failed = result.failed;
   p.hit_rate = result.prediction_hit_rate();
   p.predictions = result.spec.predictions_made;
   p.reexecutions = result.spec.reexecutions;
@@ -226,11 +228,13 @@ int main(int argc, char** argv) {
     std::fprintf(
         f,
         "    {\"workload\": \"%s\", \"mode\": \"%s\", \"mean_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"requests\": %llu, \"hit_rate\": %.4f, "
+        "\"p99_ms\": %.3f, \"requests\": %llu, \"failed\": %llu, "
+        "\"hit_rate\": %.4f, "
         "\"predictions\": %llu, \"reexecutions\": %llu, "
         "\"gate_suppressed\": %llu}%s\n",
         p.workload.c_str(), p.mode.c_str(), p.mean_ms, p.p99_ms,
-        static_cast<unsigned long long>(p.requests), p.hit_rate,
+        static_cast<unsigned long long>(p.requests),
+        static_cast<unsigned long long>(p.failed), p.hit_rate,
         static_cast<unsigned long long>(p.predictions),
         static_cast<unsigned long long>(p.reexecutions),
         static_cast<unsigned long long>(p.gate_suppressed),

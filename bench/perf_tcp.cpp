@@ -175,6 +175,7 @@ struct ClusterRow {
   double tcp_mean_ms = 0;
   double sim_committed_per_s = 0;
   double sim_mean_ms = 0;
+  std::uint64_t failed = 0;  // thrown txns, cross-process + in-process
   bool ok = false;
 };
 
@@ -236,6 +237,7 @@ ClusterRow run_cluster_point(Flavor flavor, bool throughput_mode) {
   }
   row.tcp_committed_per_s = tcp.committed_per_s();
   row.tcp_mean_ms = tcp.mean_txn_ms;
+  row.failed = tcp.failed;
 
   // The in-process twin: same flavour and workload over SimNetwork. WAN
   // emulation comes from the geo matrix here, so server costs stay flat.
@@ -257,6 +259,7 @@ ClusterRow run_cluster_point(Flavor flavor, bool throughput_mode) {
         std::chrono::milliseconds(300), pc.measure);
     row.sim_committed_per_s = run.committed_per_s();
     row.sim_mean_ms = run.txn_latency.mean_ms();
+    row.failed += run.failed;
   }
   row.ok = true;
   return row;
@@ -400,9 +403,10 @@ int bench_main() {
       std::fprintf(f,
                    "    {\"flavor\": \"%s\", \"tcp_committed_per_s\": %.1f, "
                    "\"tcp_mean_ms\": %.3f, \"sim_committed_per_s\": %.1f, "
-                   "\"sim_mean_ms\": %.3f}%s\n",
+                   "\"sim_mean_ms\": %.3f, \"failed\": %llu}%s\n",
                    r.flavor, r.tcp_committed_per_s, r.tcp_mean_ms,
                    r.sim_committed_per_s, r.sim_mean_ms,
+                   static_cast<unsigned long long>(r.failed),
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"%s_ordering_ok\": %s,\n", key,

@@ -14,6 +14,22 @@ cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
 ASAN_OPTIONS=detect_leaks=0 ctest --preset asan -j"$(nproc)" "$@"
 
+# A flaky test counts as a bug: this one used to hang ("spec call timed
+# out") in a few of every 30 fresh processes while read-chain tails parked
+# work threads, which in-process --gtest_repeat never showed. Ten fresh
+# processes keep it honest.
+for _ in $(seq 10); do
+  ASAN_OPTIONS=detect_leaks=0 ./build-asan/tests/test_batch_adaptive \
+    --gtest_filter='BatchAdaptiveCluster.SerialReplayEqualityAcrossModeSwitches'
+done
+
+# The repository benchmark's own wrapper tests (perfbench/, a separate
+# Release CMake project over ../src): traced and untraced chains and RC
+# transactions must stay byte-identical.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j"$(nproc)" --target specbench_tests
+./build-perfbench/specbench_tests
+
 # Bounded TSan chaos pass: a handful of transactions per client keeps the
 # whole pass within ~2 minutes while still driving retries, duplicate
 # replies, and flapping links through every engine flavour. The predict
@@ -63,10 +79,12 @@ SPECRPC_CHAOS_TXNS=10 ./build-tsan/tests/test_chaos_soak
 # Engine-scale smoke (reuses the asan build): sanity-check that the sharded
 # engine beats the single-domain baseline at 8 client threads and that the
 # bench's shutdown path is leak-free. Sanitizer overhead mutes the ratio —
-# the ≥3× acceptance number (EXPERIMENTS.md) is for the release build.
+# the ≥3× acceptance number (EXPERIMENTS.md) is for the release build. Run
+# from the build tree so the sanitized single point doesn't clobber the
+# committed release sweep in BENCH_engine.json.
 cmake --build --preset asan -j"$(nproc)" --target perf_engine_scale perf_tcp
-SPECRPC_ENGINE_SCALE_SECS=0.5 SPECRPC_ENGINE_SCALE_THREADS=8 \
-  ./build-asan/bench/perf_engine_scale
+(cd build-asan && SPECRPC_ENGINE_SCALE_SECS=0.5 \
+  SPECRPC_ENGINE_SCALE_THREADS=8 ./bench/perf_engine_scale)
 
 # TCP transport smoke under ASan: short echo/pipeline A/B against the frozen
 # baseline plus the 2-process cluster smoke inside the test suite above;

@@ -1,18 +1,12 @@
 #include "batch/client.h"
 
-#include <condition_variable>
 #include <map>
-#include <mutex>
 
-#include "common/executor.h"
+#include "rc/client.h"  // commit_round
 
 namespace srpc::batch {
 
 namespace {
-/// Commit versions sit above every preloaded version, mirroring the rc
-/// per-txn convention (commit_version = txn + 1e9); batch and per-txn
-/// transactions therefore share one version space.
-constexpr std::int64_t kVersionBase = 1'000'000'000;
 /// Re-plans after a wrong-epoch NACK before giving up on the epoch. One
 /// refresh normally suffices (the NACK carries the new view); the bound
 /// protects against a reconfiguration storm.
@@ -161,7 +155,7 @@ void BatchClient::prime_predictions(const BatchPlan& plan) {
       args.emplace_back(static_cast<std::int64_t>(wr.shard));
       args.emplace_back(static_cast<std::int64_t>(wr.pos));
       args.emplace_back(plan.view_epoch);
-      predictor_->prime(rc::kBatchRead, args,
+      predictor_->prime(rc::kRead, args,
                         vlist(seed->value, seed->version));
     }
   }
@@ -238,110 +232,39 @@ EpochResult BatchClient::run_batched(const BatchPlan& plan, const View& view,
     entries.push_back(std::move(e));
   }
 
-  // One batch-wide commit round: the whole batch to every DC coordinator,
-  // per-transaction votes tallied to a majority each.
+  // One batch-wide commit round, per-transaction votes tallied to a
+  // majority each. The decide carries the planning epoch for union routing
+  // on the far side (the batch resolves in the epoch that prepared it;
+  // migrated writes also land at their current owners).
   const TimePoint t1 = Clock::now();
   const auto batch_id = static_cast<kv::TxnId>(rc::next_txn_stamp());
   const std::size_t n = entries.size();
-  struct VoteState {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<int> yes, no;
-    std::string epoch_error;  // first wrong-epoch NACK, if any
-  };
-  auto votes = std::make_shared<VoteState>();
-  votes->yes.assign(n, 0);
-  votes->no.assign(n, 0);
-  const int num_dcs = view->num_dcs;
-  const int quorum = config_.vote_quorum;
-  for (int dc = 0; dc < num_dcs; ++dc) {
-    ValueList args;
-    args.emplace_back(static_cast<std::int64_t>(batch_id));
-    args.push_back(rc::encode_batch_entries(entries));
-    args.emplace_back(view->epoch);
-    auto future =
-        kit_.call(view->coord_addr(dc), rc::kBatchCommit, std::move(args));
-    future->then([votes, n](const rc::Outcome& outcome) {
-      std::lock_guard<std::mutex> lock(votes->mu);
-      std::vector<bool> flags;
-      if (outcome.ok) flags = rc::decode_batch_flags(outcome.value);
-      if (!outcome.ok && rc::is_wrong_epoch(outcome.error) &&
-          votes->epoch_error.empty()) {
-        votes->epoch_error = outcome.error;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (outcome.ok && i < flags.size() && flags[i]) {
-          votes->yes[i]++;
-        } else {
-          votes->no[i]++;
+  const rc::CommitRound round = rc::commit_round(
+      kit_, *view, config_.vote_quorum, batch_id, entries,
+      [&](std::vector<bool>& decisions) {
+        // Dependency closure, in batch order: a transaction whose overlay
+        // read came from an aborted transaction aborts too (transitive,
+        // since deps only point backwards).
+        for (std::size_t i = 0; i < n; ++i) {
+          bool ok = decisions[i];
+          for (const std::size_t dep : plan.txns[i].deps) {
+            if (!decisions[dep]) ok = false;
+          }
+          if (decisions[i] && !ok) {
+            stats_.dep_aborts.fetch_add(1, std::memory_order_relaxed);
+          }
+          decisions[i] = ok;
         }
-      }
-      votes->cv.notify_all();
-    });
-  }
-  {
-    Executor::before_block();
-    std::unique_lock<std::mutex> lock(votes->mu);
-    votes->cv.wait(lock, [&] {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (votes->yes[i] < quorum && votes->no[i] <= num_dcs - quorum) {
-          return false;
-        }
-      }
-      return true;
-    });
-  }
-  std::vector<bool> voted(n, false);
-  std::string epoch_error;
-  {
-    std::lock_guard<std::mutex> lock(votes->mu);
-    for (std::size_t i = 0; i < n; ++i) voted[i] = votes->yes[i] >= quorum;
-    epoch_error = votes->epoch_error;
-  }
-
-  // Dependency closure, in batch order: a transaction whose overlay read
-  // came from an aborted transaction aborts too (transitive, since deps
-  // only point backwards).
-  result.decisions.assign(n, false);
-  bool any_committed = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    bool ok = voted[i];
-    for (const std::size_t dep : plan.txns[i].deps) {
-      if (!result.decisions[dep]) ok = false;
-    }
-    result.decisions[i] = ok;
-    any_committed = any_committed || ok;
-    if (voted[i] && !ok) {
-      stats_.dep_aborts.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+      });
+  result.decisions = round.decisions;
   result.commit_phase = Clock::now() - t1;
 
-  // Decide broadcast (asynchronous, off the latency path) — every DC
-  // applies the decided writes and releases the batch locks. Stamped with
-  // the planning epoch for union routing on the far side (the batch
-  // resolves in the epoch that prepared it; migrated writes also land at
-  // their current owners).
-  for (int dc = 0; dc < num_dcs; ++dc) {
-    ValueList args;
-    args.emplace_back(static_cast<std::int64_t>(batch_id));
-    args.emplace_back(true);
-    args.push_back(rc::encode_batch_entries(entries));
-    args.push_back(rc::encode_batch_flags(result.decisions));
-    args.emplace_back(kVersionBase);
-    args.emplace_back(view->epoch);
-    kit_.call(view->coord_addr(dc), rc::kBatchDecide, std::move(args));
-  }
-
-  // A wrong-epoch NACK that aborted the whole batch is retryable — locks
-  // are released by the decide(all-false) broadcast above, nothing was
-  // applied, so run_epoch can safely re-plan under the refreshed view. If
-  // anything committed, install the newer view quietly and move on.
-  if (!epoch_error.empty()) {
-    if (!any_committed) {
-      throw rc::WrongEpochError(rc::parse_wrong_epoch(epoch_error));
-    }
-    auto next = rc::parse_wrong_epoch(epoch_error);
+  // A wrong-epoch NACK that aborted the whole batch threw out of the round
+  // (nothing applied, locks released), so run_epoch re-plans under the
+  // refreshed view. If anything committed, install the newer view quietly
+  // and move on.
+  if (!round.epoch_error.empty()) {
+    auto next = rc::parse_wrong_epoch(round.epoch_error);
     if (next.has_value()) views_->install(*next);
   }
 
@@ -352,7 +275,7 @@ EpochResult BatchClient::run_batched(const BatchPlan& plan, const View& view,
     for (std::size_t i = 0; i < n; ++i) {
       if (!result.decisions[i]) continue;
       const std::int64_t version =
-          kVersionBase + static_cast<std::int64_t>(entries[i].txn);
+          rc::kCommitVersionBase + static_cast<std::int64_t>(entries[i].txn);
       for (const auto& w : entries[i].writes) {
         seeds_->put(w.key, w.value, version);
       }
@@ -417,12 +340,23 @@ EpochResult BatchClient::run_per_txn(const BatchPlan& plan, const View& view) {
         for (auto& [key, value] : buffer) {
           writes.push_back(kv::WriteOp{key, value});
         }
-        committed = writes.empty() ||
-                    commit_single(*cur, planned.txn_id, validations, writes);
-        if (committed && seeds_ != nullptr && !writes.empty()) {
+        // The transaction's own commit round: a batch of one owned by its
+        // stamp. A wrong-epoch abort throws with every lock released, so
+        // the retry below is safe.
+        kv::BatchEntry entry;
+        entry.txn = planned.txn_id;
+        entry.reads = std::move(validations);
+        entry.writes = std::move(writes);
+        committed = entry.writes.empty() ||
+                    rc::commit_round(kit_, *cur, config_.vote_quorum,
+                                     entry.txn, {entry})
+                        .decisions[0];
+        if (committed && seeds_ != nullptr) {
           const std::int64_t version =
-              kVersionBase + static_cast<std::int64_t>(planned.txn_id);
-          for (const auto& w : writes) seeds_->put(w.key, w.value, version);
+              rc::kCommitVersionBase + static_cast<std::int64_t>(entry.txn);
+          for (const auto& w : entry.writes) {
+            seeds_->put(w.key, w.value, version);
+          }
         }
         break;
       } catch (const rc::WrongEpochError& err) {
@@ -440,73 +374,6 @@ EpochResult BatchClient::run_per_txn(const BatchPlan& plan, const View& view) {
   }
   result.total = Clock::now() - t0;
   return result;
-}
-
-bool BatchClient::commit_single(
-    const rc::ClusterView& view, kv::TxnId txn_id,
-    const std::vector<kv::ReadValidation>& validations,
-    const std::vector<kv::WriteOp>& writes) {
-  const auto txn = static_cast<std::int64_t>(txn_id);
-  const std::int64_t commit_version = txn + kVersionBase;
-  struct VoteState {
-    std::mutex mu;
-    std::condition_variable cv;
-    int yes = 0;
-    int no = 0;
-    std::string epoch_error;
-  };
-  auto votes = std::make_shared<VoteState>();
-  const int num_dcs = view.num_dcs;
-  const int quorum = config_.vote_quorum;
-  for (int dc = 0; dc < num_dcs; ++dc) {
-    ValueList args;
-    args.emplace_back(txn);
-    args.push_back(rc::encode_reads(validations));
-    args.push_back(rc::encode_writes(writes));
-    args.emplace_back(view.epoch);
-    auto future =
-        kit_.call(view.coord_addr(dc), rc::kCommit, std::move(args));
-    future->then([votes](const rc::Outcome& outcome) {
-      std::lock_guard<std::mutex> lock(votes->mu);
-      if (outcome.ok && outcome.value.as_bool()) {
-        votes->yes++;
-      } else {
-        if (!outcome.ok && rc::is_wrong_epoch(outcome.error) &&
-            votes->epoch_error.empty()) {
-          votes->epoch_error = outcome.error;
-        }
-        votes->no++;
-      }
-      votes->cv.notify_all();
-    });
-  }
-  bool committed;
-  std::string epoch_error;
-  {
-    Executor::before_block();
-    std::unique_lock<std::mutex> lock(votes->mu);
-    votes->cv.wait(lock, [&] {
-      return votes->yes >= quorum || votes->no > num_dcs - quorum;
-    });
-    committed = votes->yes >= quorum;
-    epoch_error = votes->epoch_error;
-  }
-  for (int dc = 0; dc < num_dcs; ++dc) {
-    ValueList args;
-    args.emplace_back(txn);
-    args.emplace_back(committed);
-    args.push_back(rc::encode_writes(writes));
-    args.emplace_back(commit_version);
-    args.push_back(rc::encode_reads(validations));
-    args.emplace_back(view.epoch);
-    kit_.call(view.coord_addr(dc), rc::kDecide, std::move(args));
-  }
-  // The decide(abort) broadcast above released any prepared locks, so the
-  // caller may retry this transaction under the refreshed view.
-  if (!committed && !epoch_error.empty()) {
-    throw rc::WrongEpochError(rc::parse_wrong_epoch(epoch_error));
-  }
-  return committed;
 }
 
 }  // namespace srpc::batch

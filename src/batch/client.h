@@ -2,16 +2,17 @@
 // (DESIGN.md §12): plan -> execute queues -> compute -> one batch-wide
 // commit round -> dependency closure -> decide broadcast.
 //
-// The commit protocol is Replicated Commit lifted to batches: the client
-// sends the whole batch to a coordinator in every datacentre
-// (rc.batch_commit); each coordinator runs a DC-local 2PC across its shards
-// (batch.prepare validates the shard's slice of every transaction in queue
-// order under ONE store lock hold) and returns a per-transaction vote
-// vector; a transaction commits once a majority of DCs voted yes for it.
-// The client then closes dependencies — a transaction whose overlay read
-// came from an aborted transaction aborts too, transitively — and
-// broadcasts rc.batch_decide, which applies all decided writes per shard
-// with one group TxnLog append.
+// The commit protocol is Replicated Commit's one round (rc::commit_round)
+// over the whole batch: the client sends every entry to a coordinator in
+// each datacentre (rc.commit); each coordinator runs a DC-local 2PC across
+// its shards (rc.prepare validates the shard's slice of every transaction
+// in queue order under ONE store lock hold) and returns a per-transaction
+// vote vector; a transaction commits once a majority of DCs voted yes for
+// it. The client then closes dependencies — a transaction whose overlay
+// read came from an aborted transaction aborts too, transitively — and
+// broadcasts rc.decide, which applies all decided writes per shard with
+// one group TxnLog append. The per-txn baseline runs the same round with
+// one entry per transaction.
 #pragma once
 
 #include <atomic>
@@ -157,12 +158,6 @@ class BatchClient {
   void feed_controller(const BatchDecision& decision,
                        const EpochResult& result,
                        const StatsSnapshot& before, Duration epoch_time);
-
-  /// Classic RC commit round for one transaction (the per-txn baseline).
-  /// Throws rc::WrongEpochError when the round failed on a stale view.
-  bool commit_single(const rc::ClusterView& view, kv::TxnId txn_id,
-                     const std::vector<kv::ReadValidation>& validations,
-                     const std::vector<kv::WriteOp>& writes);
 
   rc::RpcKit& kit_;
   std::shared_ptr<rc::ViewProvider> views_;

@@ -12,11 +12,11 @@ namespace {
 
 ValueList read_args(const std::string& key, std::uint64_t epoch, int shard,
                     std::size_t pos, std::int64_t vepoch) {
-  // (key, epoch, shard, pos, vepoch): the extra coordinates make every
-  // queue position a distinct predictor key (predict::key_of hashes the
-  // args) — including the view epoch, so predictions primed under an old
-  // view never validate a post-migration read. The trailing vepoch is also
-  // what the server checks for the wrong-epoch NACK.
+  // rc.read with (key, epoch, shard, pos, vepoch): the extra coordinates
+  // make every queue position a distinct predictor key (predict::key_of
+  // hashes the args) — including the view epoch, so predictions primed
+  // under an old view never validate a post-migration read. The trailing
+  // vepoch is also what the server checks for the wrong-epoch NACK.
   ValueList args;
   args.reserve(5);
   args.emplace_back(key);
@@ -56,7 +56,7 @@ rc::ReadResult BatchExecutor::quorum_read(const rc::ClusterView& view,
                                           std::size_t pos) {
   std::vector<rc::FuturePtr> futures;
   for (const auto& addr : replicas_for(view, shard)) {
-    futures.push_back(kit_.call(addr, rc::kBatchRead,
+    futures.push_back(kit_.call(addr, rc::kRead,
                                 read_args(key, epoch, shard, pos, view.epoch)));
   }
   auto result = rc::quorum_wait_detailed(futures, read_quorum_);
@@ -97,14 +97,14 @@ spec::CallbackFactory BatchExecutor::chain_factory(
       if (idx + 1 < reads->size()) {
         const WireRead& next = (*reads)[idx + 1];
         return ctx.call_quorum(
-            replicas_for(*view, next.shard), read_quorum_, rc::kBatchRead,
+            replicas_for(*view, next.shard), read_quorum_, rc::kRead,
             read_args(next.key, epoch, next.shard, next.pos, view->epoch),
             rc::max_version_combiner,
             chain_factory(view, reads, epoch, idx + 1, std::move(mine)));
       }
-      // Queue tail: block until every speculation in this chain resolved —
-      // nothing speculative may reach the commit round (§4.1 specBlock).
-      ctx.spec_block();
+      // Queue tail. Nothing speculative reaches the commit round without a
+      // specBlock here: the chain's future resolves only with a branch whose
+      // every prediction validated, and execute() waits on it.
       ValueList out;
       out.reserve(mine.size());
       for (const auto& r : mine) out.push_back(vlist(r.key, r.value, r.version));
@@ -130,7 +130,7 @@ ReadSet BatchExecutor::execute(const BatchPlan& plan, BatchMode mode,
       auto shared = std::make_shared<const std::vector<WireRead>>(reads);
       const WireRead& first = (*shared)[0];
       auto future = engine->call_quorum(
-          replicas_for(*view, first.shard), read_quorum_, rc::kBatchRead,
+          replicas_for(*view, first.shard), read_quorum_, rc::kRead,
           read_args(first.key, plan.epoch, first.shard, first.pos,
                     view->epoch),
           rc::max_version_combiner,

@@ -42,17 +42,17 @@ class BatchExecutor {
                 int my_dc, int read_quorum, std::shared_ptr<SeedStore> seeds);
 
   /// Resolves every wire read of `plan` under `view` (the view the plan was
-  /// routed with — every batch.read is stamped with its epoch, so a server
-  /// on a newer view NACKs and the whole call surfaces WrongEpochError for
-  /// the client to re-plan). kSpeculative requires the kit to wrap a
-  /// SpecRPC engine and falls back to the sequential path otherwise.
-  /// Speculative chains spec_block before returning results, so everything
-  /// in the ReadSet is non-speculative.
+  /// routed with — every rc.read is stamped with its epoch, so a server on
+  /// a newer view NACKs and the whole call surfaces WrongEpochError for the
+  /// client to re-plan). kSpeculative requires the kit to wrap a SpecRPC
+  /// engine and falls back to the sequential path otherwise. A speculative
+  /// chain's future resolves only with a branch whose every prediction
+  /// validated, so everything in the ReadSet is non-speculative.
   ReadSet execute(const BatchPlan& plan, BatchMode mode,
                   std::shared_ptr<const rc::ClusterView> view);
 
-  /// One blocking quorum read through the batch.read method (also used by
-  /// the per-txn baseline so all modes share server-side read semantics).
+  /// One blocking quorum read with the batch's five-argument rc.read (also
+  /// used by the per-txn baseline so all modes share predictor keys).
   /// Throws rc::WrongEpochError on a stale-epoch NACK.
   rc::ReadResult quorum_read(const rc::ClusterView& view,
                              const std::string& key, std::uint64_t epoch,

@@ -30,8 +30,8 @@ struct QueueEntry {
 };
 
 /// One read RPC of the batch: shard queue slot -> key. `pos` is the
-/// ordinal among the shard's wire reads and is part of the batch.read args,
-/// giving every queue position a unique predictor key.
+/// ordinal among the shard's wire reads and is part of the batch's rc.read
+/// args, giving every queue position a unique predictor key.
 struct WireRead {
   std::string key;
   int shard = 0;

@@ -115,7 +115,7 @@ ValueList QueueSeedPredictor::predict(const std::string& method,
 
 void QueueSeedPredictor::learn(const std::string& method,
                                const ValueList& args, const Value& actual) {
-  // batch.read args: (key, epoch, shard, pos, vepoch); actual:
+  // batch rc.read args: (key, epoch, shard, pos, vepoch); actual:
   // vlist(value, version).
   // Tolerate anything else (the manager shadow-evaluates every observed
   // call) by simply not learning from it.

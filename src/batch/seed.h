@@ -17,7 +17,7 @@
 //
 // QueueSeedPredictor is the predict::Predictor that carries those seeds
 // through the standard PredictionSupplier hook: the planner primes it per
-// queue position (batch.read args are (key, epoch, shard, pos), so every
+// queue position (batch rc.read args are (key, epoch, shard, pos), so every
 // position gets a distinct predictor key), the engine's supplier consults
 // it like any other predictor — budget, admission and accuracy tracking
 // from PRs 3/6 apply unchanged — and learn() writes actuals back into the
@@ -112,7 +112,7 @@ class QueueSeedPredictor final : public predict::Predictor {
   ValueList predict(const std::string& method, const ValueList& args) override;
 
   /// Actual combined read result for one position. Parsed back into the
-  /// SeedStore (batch.read args carry the key at position 0), so validated
+  /// SeedStore (rc.read args carry the key at position 0), so validated
   /// reads refresh next epoch's seeds even for keys the batch never wrote.
   /// When the position was primed, also scores the seed exactly (primed
   /// value deep-compared against the actual) into checked()/correct() —

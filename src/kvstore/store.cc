@@ -51,61 +51,13 @@ std::size_t VersionedStore::size() const {
   return data_.size();
 }
 
-bool VersionedStore::prepare(TxnId txn,
-                             const std::vector<ReadValidation>& reads,
-                             const std::vector<WriteOp>& writes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Validate reads: version unchanged and not locked by a concurrent writer.
-  for (const auto& r : reads) {
-    auto lit = locks_.find(r.key);
-    if (lit != locks_.end() && lit->second != txn) return false;
-    auto dit = data_.find(r.key);
-    const std::int64_t current = dit == data_.end() ? 0 : dit->second.version;
-    if (current != r.version) return false;
-  }
-  // Acquire write locks; no waiting (fail-fast keeps us deadlock-free).
-  std::vector<std::string> acquired;
-  acquired.reserve(writes.size());
-  for (const auto& w : writes) {
-    auto [it, inserted] = locks_.emplace(w.key, txn);
-    if (!inserted && it->second != txn) {
-      for (const auto& k : acquired) locks_.erase(k);
-      return false;
-    }
-    if (inserted) acquired.push_back(w.key);
-  }
-  auto& held = txn_locks_[txn];
-  held.insert(held.end(), acquired.begin(), acquired.end());
-  return true;
-}
-
-void VersionedStore::commit(TxnId txn, const std::vector<WriteOp>& writes,
-                            std::int64_t commit_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& w : writes) {
-    auto& entry = data_[w.key];
-    if (commit_version > entry.version) {
-      entry.value = w.value;
-      entry.version = commit_version;
-    }
-  }
-  auto it = txn_locks_.find(txn);
-  if (it != txn_locks_.end()) {
-    for (const auto& k : it->second) {
-      auto lit = locks_.find(k);
-      if (lit != locks_.end() && lit->second == txn) locks_.erase(lit);
-    }
-    txn_locks_.erase(it);
-  }
-}
-
-std::vector<bool> VersionedStore::prepare_batch(
-    TxnId batch_id, const std::vector<BatchEntry>& entries) {
+std::vector<bool> VersionedStore::prepare(
+    TxnId owner, const std::vector<BatchEntry>& entries) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<bool> votes(entries.size(), false);
-  // Keys the yes-voting prefix of the batch will write: reads of these are
+  // Keys the yes-voting entries so far will write: reads of these are
   // queue-overlay reads (no store validation), and writes to these never
-  // conflict with each other (single owner: batch_id).
+  // conflict with each other (single owner).
   std::unordered_map<std::string, bool> batch_written;
   // Phase A: vote in queue order against store state + overlay. Nothing is
   // locked yet, so a no vote leaves no residue to unwind.
@@ -115,7 +67,7 @@ std::vector<bool> VersionedStore::prepare_batch(
     for (const auto& r : e.reads) {
       if (batch_written.count(r.key) != 0) continue;  // overlay read
       auto lit = locks_.find(r.key);
-      if (lit != locks_.end() && lit->second != batch_id) {
+      if (lit != locks_.end() && lit->second != owner) {
         ok = false;
         break;
       }
@@ -130,7 +82,7 @@ std::vector<bool> VersionedStore::prepare_batch(
     if (ok) {
       for (const auto& w : e.writes) {
         auto lit = locks_.find(w.key);
-        if (lit != locks_.end() && lit->second != batch_id) {
+        if (lit != locks_.end() && lit->second != owner) {
           ok = false;
           break;
         }
@@ -141,23 +93,23 @@ std::vector<bool> VersionedStore::prepare_batch(
       for (const auto& w : e.writes) batch_written.emplace(w.key, true);
     }
   }
-  // Phase B: acquire every yes-entry write lock under the batch owner. All
-  // were checked free (or already batch-owned) above and the mutex was never
+  // Phase B: acquire every yes-entry write lock under the owner. All were
+  // checked free (or already owner-held) above and the mutex was never
   // released, so acquisition cannot fail.
-  auto& held = txn_locks_[batch_id];
+  auto& held = txn_locks_[owner];
   for (const auto& [key, _] : batch_written) {
-    auto [it, inserted] = locks_.emplace(key, batch_id);
+    auto [it, inserted] = locks_.emplace(key, owner);
     (void)it;
     if (inserted) held.push_back(key);
   }
-  if (held.empty()) txn_locks_.erase(batch_id);
+  if (held.empty()) txn_locks_.erase(owner);
   return votes;
 }
 
-void VersionedStore::commit_batch(TxnId batch_id,
-                                  const std::vector<BatchEntry>& entries,
-                                  const std::vector<bool>& decisions,
-                                  std::int64_t version_base) {
+void VersionedStore::commit(TxnId owner,
+                            const std::vector<BatchEntry>& entries,
+                            const std::vector<bool>& decisions,
+                            std::int64_t version_base) {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i >= decisions.size() || !decisions[i]) continue;
@@ -172,28 +124,17 @@ void VersionedStore::commit_batch(TxnId batch_id,
       }
     }
   }
-  auto it = txn_locks_.find(batch_id);
+  auto it = txn_locks_.find(owner);
   if (it != txn_locks_.end()) {
     for (const auto& k : it->second) {
       auto lit = locks_.find(k);
-      if (lit != locks_.end() && lit->second == batch_id) locks_.erase(lit);
+      if (lit != locks_.end() && lit->second == owner) locks_.erase(lit);
     }
     txn_locks_.erase(it);
   }
 }
 
-void VersionedStore::abort_batch(TxnId batch_id) { abort(batch_id); }
-
-void VersionedStore::abort(TxnId txn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = txn_locks_.find(txn);
-  if (it == txn_locks_.end()) return;
-  for (const auto& k : it->second) {
-    auto lit = locks_.find(k);
-    if (lit != locks_.end() && lit->second == txn) locks_.erase(lit);
-  }
-  txn_locks_.erase(it);
-}
+void VersionedStore::abort(TxnId owner) { commit(owner, {}, {}, 0); }
 
 bool VersionedStore::is_locked(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -36,11 +36,12 @@ struct WriteOp {
   std::string value;
 };
 
-/// One transaction's footprint on one shard inside a batch (queue-oriented
-/// group commit, DESIGN.md §12). `index` is the transaction's global
-/// position in the batch (queue order); `txn` is its globally-stamped id,
-/// from which every replica derives the same commit version
-/// (version_base + txn, the rc convention) without coordination.
+/// One transaction's footprint on one shard inside a commit round (a
+/// per-transaction commit is a round of one; queue-oriented group commit,
+/// DESIGN.md §12, sends many). `index` is the transaction's global position
+/// in the round (queue order); `txn` is its globally-stamped id, from which
+/// every replica derives the same commit version (version_base + txn, the
+/// rc convention) without coordination.
 struct BatchEntry {
   TxnId txn = 0;
   std::size_t index = 0;
@@ -75,44 +76,31 @@ class VersionedStore {
 
   std::size_t size() const;
 
-  /// 2PC prepare: atomically (a) write-lock every write key, (b) validate
-  /// that every read version is still current and none of the read keys is
-  /// write-locked by another transaction. On failure nothing stays locked.
-  bool prepare(TxnId txn, const std::vector<ReadValidation>& reads,
-               const std::vector<WriteOp>& writes);
-
-  /// Applies the writes at `commit_version` and releases txn's locks.
-  /// Also called on replicas that voted no but saw the global commit:
-  /// versions only move forward.
-  void commit(TxnId txn, const std::vector<WriteOp>& writes,
-              std::int64_t commit_version);
-
-  /// Releases txn's locks without applying.
-  void abort(TxnId txn);
-
-  /// Batch prepare (queue-oriented group commit): validates every entry in
-  /// queue order under ONE lock hold and returns a per-entry vote. All write
-  /// locks of yes-voting entries are acquired with `batch_id` as the owner,
-  /// so intra-batch write-write overlap on a key is not a conflict (queue
-  /// order serialises it) and release is a single abort/commit of the batch.
-  /// A read whose key was written by an earlier yes-voting entry of the same
-  /// batch is satisfied by the queue overlay and skips store validation (the
-  /// client resolves such reads from the queue without an RPC; the entry
-  /// here is defensive). On a no vote nothing of that entry stays locked.
-  std::vector<bool> prepare_batch(TxnId batch_id,
-                                  const std::vector<BatchEntry>& entries);
+  /// 2PC prepare over an ordered list of transaction entries (one entry for
+  /// a per-transaction commit): votes per entry, in queue order, under ONE
+  /// lock hold. An entry votes yes when its read versions are current and
+  /// none of its keys is locked by another owner; a no vote leaves nothing
+  /// of it locked (fail-fast, never waits). Yes-entries' write locks are
+  /// taken under `owner`, so write-write overlap inside the list is no
+  /// conflict (queue order serialises it) and one commit/abort releases
+  /// them all. A read of a key an earlier yes-entry writes is a queue-overlay
+  /// read (the batch client resolves it without an RPC) and skips store
+  /// validation.
+  std::vector<bool> prepare(TxnId owner,
+                            const std::vector<BatchEntry>& entries);
 
   /// Applies the writes of entries whose `decisions[i]` is true, each at
   /// commit_version = version_base + entry.txn (txn stamps are allocated in
-  /// queue order, so versions strictly increase along the batch), then
-  /// releases every lock owned by `batch_id`. Entries with a false decision
-  /// are skipped but their locks (shared under batch_id) are still released.
-  void commit_batch(TxnId batch_id, const std::vector<BatchEntry>& entries,
-                    const std::vector<bool>& decisions,
-                    std::int64_t version_base);
+  /// queue order, so versions strictly increase along the list), then
+  /// releases every lock owned by `owner`. Entries with a false decision
+  /// are skipped but their locks (shared under `owner`) are still released.
+  /// Also called on replicas that voted no but saw the global commit:
+  /// versions only move forward.
+  void commit(TxnId owner, const std::vector<BatchEntry>& entries,
+              const std::vector<bool>& decisions, std::int64_t version_base);
 
-  /// Releases every lock owned by `batch_id` without applying anything.
-  void abort_batch(TxnId batch_id);
+  /// Releases every lock owned by `owner` without applying anything.
+  void abort(TxnId owner);
 
   /// True if `key` currently carries a write lock (reads wait on these —
   /// an in-flight commit may be about to apply).

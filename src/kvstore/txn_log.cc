@@ -24,15 +24,6 @@ TxnLog::~TxnLog() {
   std::fclose(file_);
 }
 
-void TxnLog::append(CommitRecord record) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(record));
-    appended_++;
-  }
-  cv_.notify_one();
-}
-
 void TxnLog::append_batch(std::vector<CommitRecord> records) {
   if (records.empty()) return;
   {
@@ -142,7 +133,9 @@ std::uint64_t TxnLog::replay(
 
 std::uint64_t TxnLog::recover(const std::string& path, VersionedStore& store) {
   return replay(path, [&store](const CommitRecord& record) {
-    store.commit(record.txn, record.writes, record.commit_version);
+    for (const auto& w : record.writes) {
+      store.load_if_newer(w.key, w.value, record.commit_version);
+    }
   });
 }
 

@@ -39,13 +39,10 @@ class TxnLog {
   TxnLog(const TxnLog&) = delete;
   TxnLog& operator=(const TxnLog&) = delete;
 
-  /// Enqueues a commit record; returns immediately (asynchronous).
-  void append(CommitRecord record);
-
-  /// Group append: enqueues N records with one lock acquisition and one
-  /// wake-up. The writer drains them into a single contiguous buffer and
-  /// issues one fwrite + one fflush for the whole group, so a batch commit
-  /// (or any burst) costs one flush instead of N.
+  /// Enqueues N commit records with one lock acquisition and one wake-up;
+  /// returns immediately (asynchronous). The writer drains them into a
+  /// single contiguous buffer and issues one fwrite + one fflush for the
+  /// whole group, so a batch commit (or any burst) costs one flush, not N.
   void append_batch(std::vector<CommitRecord> records);
 
   /// Blocks until everything appended so far reaches the OS.

@@ -157,9 +157,10 @@ spec::CallbackFactory RcClient::chain_factory(
                                chain_factory(view, keys, idx + 1,
                                              std::move(mine)));
       }
-      // Last read: wait until every speculation in this chain is resolved
-      // before results become visible to the commit (§4.1 specBlock).
-      ctx.spec_block();
+      // Last read. No specBlock (§4.1) needed: the chain's future resolves
+      // only with a branch whose every prediction validated, and the commit
+      // runs after future->get() on the caller's thread — so nothing
+      // speculative reaches it, and no work thread parks here.
       ValueList out;
       out.reserve(mine.size());
       for (const auto& r : mine)
@@ -245,76 +246,103 @@ void RcClient::commit_txn(const ClusterView& view,
     return;
   }
   const TimePoint t1 = Clock::now();
-  const std::int64_t txn = next_txn_stamp();
-  const std::int64_t commit_version = txn + 1'000'000'000;  // above loads
-  std::vector<kv::ReadValidation> validations;
-  validations.reserve(reads.size());
+  kv::BatchEntry entry;
+  entry.txn = static_cast<kv::TxnId>(next_txn_stamp());
+  entry.reads.reserve(reads.size());
   for (const auto& r : reads)
-    validations.push_back(kv::ReadValidation{r.key, r.version});
+    entry.reads.push_back(kv::ReadValidation{r.key, r.version});
+  entry.writes = writes;
+  result.committed = commit_round(kit_, view, config_.vote_quorum, entry.txn,
+                                  {std::move(entry)})
+                         .decisions[0];
+  result.commit_phase = Clock::now() - t1;
+}
 
-  // One wide-area round trip: commit request to every DC coordinator; the
-  // transaction commits once a majority votes yes.
+CommitRound commit_round(
+    RpcKit& kit, const ClusterView& view, int vote_quorum, kv::TxnId owner,
+    const std::vector<kv::BatchEntry>& entries,
+    const std::function<void(std::vector<bool>&)>& close) {
+  // One wide-area round trip: the entries to every DC coordinator; each
+  // entry commits once a majority of DCs votes yes for it.
+  const std::size_t n = entries.size();
   struct VoteState {
     std::mutex mu;
     std::condition_variable cv;
-    int yes = 0;
-    int no = 0;
+    std::vector<int> yes, no;
     std::string epoch_error;  // first coordinator wrong-epoch NACK, if any
   };
   auto votes = std::make_shared<VoteState>();
+  votes->yes.assign(n, 0);
+  votes->no.assign(n, 0);
+  const Value encoded = encode_batch_entries(entries);
   const int num_dcs = view.num_dcs;
-  const int quorum = config_.vote_quorum;
   for (int dc = 0; dc < num_dcs; ++dc) {
     ValueList args;
-    args.emplace_back(txn);
-    args.push_back(encode_reads(validations));
-    args.push_back(encode_writes(writes));
+    args.emplace_back(static_cast<std::int64_t>(owner));
+    args.push_back(encoded);
     args.emplace_back(view.epoch);
-    auto future = kit_.call(view.coord_addr(dc), kCommit, std::move(args));
-    future->then([votes](const Outcome& outcome) {
+    auto future = kit.call(view.coord_addr(dc), kCommit, std::move(args));
+    future->then([votes, n](const Outcome& outcome) {
+      std::vector<bool> flags;
+      if (outcome.ok) flags = decode_batch_flags(outcome.value);
       std::lock_guard<std::mutex> lock(votes->mu);
-      if (outcome.ok && outcome.value.as_bool()) {
-        votes->yes++;
-      } else {
-        votes->no++;
-        if (!outcome.ok && votes->epoch_error.empty() &&
-            is_wrong_epoch(outcome.error)) {
-          votes->epoch_error = outcome.error;
+      if (!outcome.ok && votes->epoch_error.empty() &&
+          is_wrong_epoch(outcome.error)) {
+        votes->epoch_error = outcome.error;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i < flags.size() && flags[i]) {
+          votes->yes[i]++;
+        } else {
+          votes->no[i]++;
         }
       }
       votes->cv.notify_all();
     });
   }
-  bool committed;
-  std::string epoch_error;
+  CommitRound round;
+  round.decisions.assign(n, false);
   {
     Executor::before_block();
     std::unique_lock<std::mutex> lock(votes->mu);
     votes->cv.wait(lock, [&] {
-      return votes->yes >= quorum || votes->no > num_dcs - quorum;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (votes->yes[i] < vote_quorum &&
+            votes->no[i] <= num_dcs - vote_quorum) {
+          return false;
+        }
+      }
+      return true;
     });
-    committed = votes->yes >= quorum;
-    epoch_error = votes->epoch_error;
+    for (std::size_t i = 0; i < n; ++i) {
+      round.decisions[i] = votes->yes[i] >= vote_quorum;
+    }
+    round.epoch_error = votes->epoch_error;
   }
-  // Broadcast the decision (asynchronous, off the latency path). A txn that
-  // lost its quorum to a wrong-epoch NACK aborts here too: DCs that DID
-  // prepare under the old epoch release their locks before we re-run.
-  const bool decision = committed;
+  if (close) close(round.decisions);
+  const bool any_committed =
+      std::find(round.decisions.begin(), round.decisions.end(), true) !=
+      round.decisions.end();
+  // Broadcast the decision (asynchronous, off the latency path), stamped
+  // with the round's epoch so coordinators resolve it where it prepared. A
+  // round that lost every entry to a wrong-epoch NACK aborts here too: DCs
+  // that DID prepare under the old epoch release their locks before the
+  // caller re-runs.
+  const Value decisions = encode_batch_flags(round.decisions);
   for (int dc = 0; dc < num_dcs; ++dc) {
     ValueList args;
-    args.emplace_back(txn);
-    args.emplace_back(decision);
-    args.push_back(encode_writes(writes));
-    args.emplace_back(commit_version);
-    args.push_back(encode_reads(validations));
+    args.emplace_back(static_cast<std::int64_t>(owner));
+    args.emplace_back(any_committed);
+    args.push_back(encoded);
+    args.push_back(decisions);
+    args.emplace_back(kCommitVersionBase);
     args.emplace_back(view.epoch);
-    kit_.call(view.coord_addr(dc), kDecide, std::move(args));
+    kit.call(view.coord_addr(dc), kDecide, std::move(args));
   }
-  if (!committed && !epoch_error.empty()) {
-    throw WrongEpochError(parse_wrong_epoch(epoch_error));
+  if (!any_committed && !round.epoch_error.empty()) {
+    throw WrongEpochError(parse_wrong_epoch(round.epoch_error));
   }
-  result.committed = committed;
-  result.commit_phase = Clock::now() - t1;
+  return round;
 }
 
 }  // namespace srpc::rc

@@ -10,10 +10,11 @@
 //
 //   * run_speculative — reads form a SpecRPC callback chain: the first
 //     (local-DC) response predicts each quorum result, so all dependent
-//     reads overlap; the final callback specBlocks until every read is
-//     non-speculative before the commit is issued (§4.1: "Before calling
-//     commit ... an RC client will issue a specBlock to wait until all
-//     quorum reads become non-speculative").
+//     reads overlap. The commit waits until every read is non-speculative
+//     (§4.1: "Before calling commit ... an RC client will issue a specBlock
+//     to wait until all quorum reads become non-speculative"); here that
+//     wait is the chain future's get(), which resolves only with a branch
+//     whose predictions all validated.
 //
 // Routing comes from a ViewProvider: every transaction snapshots the current
 // ClusterView, stamps its RPCs with the view's epoch, and on a wrong-epoch
@@ -95,9 +96,8 @@ class RcClient {
       View view, std::shared_ptr<const std::vector<std::string>> keys,
       std::size_t idx, std::vector<ReadResult> acc) const;
 
-  /// Commit phase shared by both strategies; fills committed/commit_phase.
-  /// A wrong-epoch NACK from a coordinator that cost us the vote quorum
-  /// aborts the transaction everywhere, then throws WrongEpochError.
+  /// Commit phase shared by both strategies: a commit_round of one entry
+  /// owned by the transaction's stamp; fills committed/commit_phase.
   void commit_txn(const ClusterView& view,
                   const std::vector<ReadResult>& reads,
                   const std::vector<kv::WriteOp>& writes, TxnResult& result);
@@ -110,5 +110,28 @@ class RcClient {
 /// Quorum-read combiner: the value with the highest version among the
 /// responses (RC's read rule).
 Value max_version_combiner(const std::vector<Value>& responses);
+
+struct CommitRound {
+  /// Per-entry decisions: a majority of DCs voted yes, and `close` kept it.
+  std::vector<bool> decisions;
+  /// First coordinator wrong-epoch NACK, if any, from a round in which some
+  /// entry still committed (a round that committed nothing throws instead).
+  std::string epoch_error;
+};
+
+/// One Replicated Commit round over `entries`, whose locks are held under
+/// `owner`: rc.commit to every DC coordinator, a per-entry majority tally,
+/// then the asynchronous rc.decide broadcast. Each entry commits at
+/// kCommitVersionBase + its txn stamp. A per-transaction commit is a round
+/// of one entry owned by its stamp; the batch client sends whole batches.
+/// `close` (optional) may veto voted entries before the decide goes out —
+/// the batch client's dependency closure. Throws WrongEpochError when a
+/// wrong-epoch NACK cost every entry its quorum; the decide(abort) has
+/// released every prepared lock by then, so the caller may re-run the round
+/// under the refreshed view.
+CommitRound commit_round(
+    RpcKit& kit, const ClusterView& view, int vote_quorum, kv::TxnId owner,
+    const std::vector<kv::BatchEntry>& entries,
+    const std::function<void(std::vector<bool>&)>& close = nullptr);
 
 }  // namespace srpc::rc

@@ -211,11 +211,18 @@ RcCluster::RcCluster(ClusterConfig config) : config_(std::move(config)) {
 }
 
 RcCluster::~RcCluster() {
-  // Teardown order matters: (1) stop engines so computations parked in
-  // spec_block unwind, (2) drain the work executor so no callback still
-  // references an engine, (3) destroy engines/servers, (4) the network.
+  // Teardown order matters: (1) detach every machine from the network and
+  // wait out in-flight deliveries (spec engines also unwind computations
+  // parked in spec_block), so no late decide/apply reaches a destroyed
+  // server, (2) drain the work executor so no callback still references an
+  // engine, (3) destroy engines/servers, (4) the network.
   for (auto& node : nodes_) {
-    if (node->spec_engine) node->spec_engine->begin_shutdown();
+    if (node->spec_engine) {
+      node->spec_engine->begin_shutdown();
+    } else {
+      node->transport->set_receiver(nullptr);
+      node->transport->quiesce();
+    }
   }
   work_executor_->shutdown();
   // Join the timer thread before destroying servers: pending timers (read

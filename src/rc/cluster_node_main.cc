@@ -323,12 +323,14 @@ int node_main(const Args& args) {
       if (c->controller() != nullptr) astats += c->controller()->stats();
     }
     std::printf(
-        "RESULT committed=%llu aborted=%llu read_only=0 elapsed_s=%.3f "
-        "mean_us=%.1f p50_us=%.1f p99_us=%.1f commit_count=%llu "
-        "commit_mean_us=%.1f adaptive_epochs=%llu mode_flips=%llu "
-        "probes=%llu grows=%llu shrinks=%llu epoch_size=%llu\n",
+        "RESULT committed=%llu aborted=%llu read_only=0 failed=%llu "
+        "elapsed_s=%.3f mean_us=%.1f p50_us=%.1f p99_us=%.1f "
+        "commit_count=%llu commit_mean_us=%.1f adaptive_epochs=%llu "
+        "mode_flips=%llu probes=%llu grows=%llu shrinks=%llu "
+        "epoch_size=%llu\n",
         static_cast<unsigned long long>(run.committed),
-        static_cast<unsigned long long>(run.aborted), run.elapsed_s,
+        static_cast<unsigned long long>(run.aborted),
+        static_cast<unsigned long long>(run.failed), run.elapsed_s,
         run.epoch_latency.mean_us(), run.epoch_latency.percentile_us(50),
         run.epoch_latency.percentile_us(99),
         static_cast<unsigned long long>(run.commit_latency.count()),
@@ -372,12 +374,13 @@ int node_main(const Args& args) {
         std::chrono::milliseconds(args.num("warmup_ms", 200)),
         std::chrono::milliseconds(args.num("measure_ms", 2000)));
     std::printf(
-        "RESULT committed=%llu aborted=%llu read_only=%llu elapsed_s=%.3f "
-        "mean_us=%.1f p50_us=%.1f p99_us=%.1f commit_count=%llu "
-        "commit_mean_us=%.1f\n",
+        "RESULT committed=%llu aborted=%llu read_only=%llu failed=%llu "
+        "elapsed_s=%.3f mean_us=%.1f p50_us=%.1f p99_us=%.1f "
+        "commit_count=%llu commit_mean_us=%.1f\n",
         static_cast<unsigned long long>(run.committed),
         static_cast<unsigned long long>(run.aborted),
-        static_cast<unsigned long long>(run.read_only), run.elapsed_s,
+        static_cast<unsigned long long>(run.read_only),
+        static_cast<unsigned long long>(run.failed), run.elapsed_s,
         run.txn_latency.mean_us(), run.txn_latency.percentile_us(50),
         run.txn_latency.percentile_us(99),
         static_cast<unsigned long long>(run.commit_latency.count()),

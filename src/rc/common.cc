@@ -17,6 +17,8 @@ ReadResult decode_read_result(const std::string& key, const Value& v) {
   return r;
 }
 
+namespace {
+
 Value encode_reads(const std::vector<kv::ReadValidation>& reads) {
   ValueList out;
   out.reserve(reads.size());
@@ -49,6 +51,8 @@ std::vector<kv::WriteOp> decode_writes(const Value& v) {
   }
   return out;
 }
+
+}  // namespace
 
 Value encode_batch_entries(const std::vector<kv::BatchEntry>& entries) {
   ValueList out;

@@ -6,7 +6,10 @@
 // coordinator runs 2PC locally across the shards of its own DC and acts as
 // an acceptor; the transaction commits once a majority of DCs accept.
 // Reads are majority quorum reads across DCs; writes are buffered at the
-// client until commit (§4.1 of the SpecRPC paper).
+// client until commit (§4.1 of the SpecRPC paper). There is one commit
+// round (rc::commit_round) and it carries a list of transaction entries: a
+// per-transaction commit sends one, the queue-oriented group commit
+// (DESIGN.md §12) sends a whole batch, each entry voted on separately.
 //
 // Faithfulness note (also in DESIGN.md): we let the *client* tally the
 // per-DC accept votes and broadcast the decision, instead of coordinators
@@ -30,28 +33,30 @@
 
 namespace srpc::rc {
 
-/// Method names. Epoch-checked methods carry the caller's view epoch as
-/// their LAST argument and are NACKed with kWrongEpoch on mismatch:
-/// rc.read, rc.prepare, rc.commit and their batch forms. Decision-side
-/// methods (rc.decide/apply/abort, batch.apply, rc.batch_decide) are not
-/// epoch-checked — an in-flight 2PC resolves in the epoch that prepared it.
+/// Method names: the protocol's five. A per-transaction commit is a
+/// commit round of one entry, so rc.commit/prepare/decide/apply carry entry
+/// lists (encode_batch_entries) and the queue-oriented group commit
+/// (DESIGN.md §12) rides the same methods with many entries.
+///   rc.read    (key, ..., vepoch)                  -> (value, version)
+///   rc.commit  (owner, entries, vepoch)            -> per-entry votes
+///   rc.prepare (owner, entries, vepoch)            -> per-entry votes
+///   rc.decide  (owner, commit, entries, decisions, version_base, vepoch)
+///   rc.apply   (owner, commit[, entries, decisions, version_base[, epoch]])
+/// rc.read, rc.commit and rc.prepare are epoch-checked: their LAST argument
+/// is the caller's view epoch and a mismatch is NACKed with kWrongEpoch.
+/// Batch reads send (key, batch-epoch, shard, pos, view-epoch) so every
+/// queue position gets a distinct predictor key. rc.decide and rc.apply are
+/// not epoch-checked — an in-flight 2PC resolves in the epoch that prepared
+/// it; a forwarded apply carries its sender's epoch as a sixth argument.
 inline constexpr const char* kRead = "rc.read";
 inline constexpr const char* kCommit = "rc.commit";
 inline constexpr const char* kPrepare = "rc.prepare";
 inline constexpr const char* kDecide = "rc.decide";
 inline constexpr const char* kApply = "rc.apply";
-inline constexpr const char* kAbort = "rc.abort";
 
-/// Batch-mode method names (queue-oriented group commit, DESIGN.md §12).
-/// batch.read args carry (key, batch-epoch, shard, pos, view-epoch) so every
-/// queue position gets a distinct predictor key — queue-order seeds never
-/// collide across positions, batch epochs, or view epochs (migrated keys
-/// must not serve predictions seeded under the old placement).
-inline constexpr const char* kBatchRead = "batch.read";
-inline constexpr const char* kBatchPrepare = "batch.prepare";
-inline constexpr const char* kBatchApply = "batch.apply";
-inline constexpr const char* kBatchCommit = "rc.batch_commit";
-inline constexpr const char* kBatchDecide = "rc.batch_decide";
+/// Commit versions sit above every preloaded version: an entry commits at
+/// kCommitVersionBase + its txn stamp on every replica.
+inline constexpr std::int64_t kCommitVersionBase = 1'000'000'000;
 
 /// View-change protocol (DESIGN.md §13).
 ///   view.install (view_wire)        -> (epoch)       servers/coords adopt
@@ -94,16 +99,10 @@ struct TxnResult {
 Value encode_read_result(const ReadResult& r);
 ReadResult decode_read_result(const std::string& key, const Value& v);
 
-Value encode_reads(const std::vector<kv::ReadValidation>& reads);
-std::vector<kv::ReadValidation> decode_reads(const Value& v);
-
-Value encode_writes(const std::vector<kv::WriteOp>& writes);
-std::vector<kv::WriteOp> decode_writes(const Value& v);
-
-/// Batch wire format: a batch is a list of per-transaction entries, each
-/// vlist(txn, global_index, reads, writes) with reads/writes encoded as
-/// above. Shared by batch.prepare (shard payload) and rc.batch_commit
-/// (coordinator fan-out).
+/// Commit-round wire format: a list of per-transaction entries, each
+/// vlist(txn, global_index, reads, writes), reads as vlist(key, version)
+/// pairs and writes as vlist(key, value) pairs. Shared by rc.commit,
+/// rc.prepare, rc.decide and rc.apply.
 Value encode_batch_entries(const std::vector<kv::BatchEntry>& entries);
 std::vector<kv::BatchEntry> decode_batch_entries(const Value& v);
 

@@ -364,6 +364,7 @@ ProcessClusterResult ProcessCluster::run() {
     result.committed += static_cast<std::uint64_t>(committed);
     result.aborted += static_cast<std::uint64_t>(field(line, "aborted"));
     result.read_only += static_cast<std::uint64_t>(field(line, "read_only"));
+    result.failed += static_cast<std::uint64_t>(field(line, "failed"));
     result.elapsed_s = std::max(result.elapsed_s, field(line, "elapsed_s"));
     result.mean_txn_ms += committed * field(line, "mean_us") / 1000.0;
     result.p50_txn_ms += committed * field(line, "p50_us") / 1000.0;

@@ -15,7 +15,7 @@
 //   parent -> child  : TOPOLOGY <a(0,0)> ... <a(0,N-1)> <c(0)> <a(1,0)>...
 //   child  -> parent : READY
 //   parent -> child  : RUN
-//   client -> parent : RESULT committed=... aborted=... mean_us=...
+//   client -> parent : RESULT committed=... aborted=... failed=... mean_us=...
 //   parent -> child  : QUIT
 //
 // Children that miss a phase deadline are SIGKILLed; a child that dies
@@ -88,6 +88,7 @@ struct ProcessClusterResult {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t read_only = 0;
+  std::uint64_t failed = 0;  // transactions/epochs that threw, summed
   double elapsed_s = 0;
   double mean_txn_ms = 0;    // committed-weighted mean over client processes
   double p50_txn_ms = 0;     // committed-weighted mean of per-process p50s

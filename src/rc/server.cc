@@ -59,59 +59,8 @@ ShardServer::ShardServer(RpcKit& kit, kv::VersionedStore& store,
       kApply, [this](ValueList args, std::function<void(Outcome)> respond) {
         with_cpu(costs_.apply, [this, args = std::move(args),
                                 respond = std::move(respond)] {
-          const auto txn = static_cast<kv::TxnId>(args.at(0).as_int());
-          const auto writes = decode_writes(args.at(1));
-          const std::int64_t version = args.at(2).as_int();
-          store_.commit(txn, writes, version);
-          if (log_ != nullptr) {
-            log_->append(kv::CommitRecord{txn, version, writes});
-          }
-          // Forwarded applies carry the sender's epoch as a 4th arg; only
-          // re-forward when our view is strictly newer, so a forwarding
-          // cycle between servers on different epochs cannot loop.
-          const bool may_forward =
-              args.size() < 4 || args.at(3).as_int() < views_->epoch();
-          if (may_forward) forward_migrated(txn, writes, version);
+          handle_apply(args);
           respond(Outcome::success(Value(true)));
-        });
-      });
-
-  kit_.register_handler(
-      kAbort, [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.apply, [this, args = std::move(args),
-                                respond = std::move(respond)] {
-          store_.abort(static_cast<kv::TxnId>(args.at(0).as_int()));
-          respond(Outcome::success(Value(true)));
-        });
-      });
-
-  // Batch mode (DESIGN.md §12). batch.read serves exactly like rc.read; the
-  // extra args (batch epoch, shard, pos) exist only to give every queue
-  // position a distinct predictor key on the client.
-  kit_.register_handler(
-      kBatchRead, [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.read, [this, args = std::move(args),
-                               respond = std::move(respond)]() mutable {
-          if (nack_wrong_epoch(args, respond)) return;
-          serve_read(args.at(0).as_string(), std::move(respond),
-                     /*attempt=*/0);
-        });
-      });
-  kit_.register_handler(
-      kBatchPrepare,
-      [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.prepare, [this, args = std::move(args),
-                                  respond = std::move(respond)]() mutable {
-          handle_batch_prepare(std::move(args), std::move(respond),
-                               /*attempt=*/0);
-        });
-      });
-  kit_.register_handler(
-      kBatchApply,
-      [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.apply, [this, args = std::move(args),
-                                respond = std::move(respond)] {
-          handle_batch_apply(std::move(args), std::move(respond));
         });
       });
 
@@ -166,39 +115,12 @@ void ShardServer::handle_prepare(ValueList args,
                                  std::function<void(Outcome)> respond,
                                  int attempt) {
   if (nack_wrong_epoch(args, respond)) return;
-  const auto txn = static_cast<kv::TxnId>(args.at(0).as_int());
-  const auto reads = decode_reads(args.at(1));
-  const auto writes = decode_writes(args.at(2));
+  const auto owner = static_cast<kv::TxnId>(args.at(0).as_int());
+  const auto entries = decode_batch_entries(args.at(1));
   // A warming key's state transfer has not landed yet: preparing against it
   // could validate a read version or grant a lock against stale data. Wait
   // briefly for the pull; past the bound, vote no (the client aborts and
   // retries — never prepares against a half-transferred slot).
-  bool warm = false;
-  for (const auto& r : reads) warm = warm || is_warming(r.key);
-  for (const auto& w : writes) warm = warm || is_warming(w.key);
-  if (warm) {
-    if (attempt < 400) {
-      kit_.wheel().schedule_after(
-          std::chrono::microseconds(500),
-          [this, args = std::move(args), respond = std::move(respond),
-           attempt]() mutable {
-            handle_prepare(std::move(args), std::move(respond), attempt + 1);
-          });
-    } else {
-      respond(Outcome::success(Value(false)));
-    }
-    return;
-  }
-  const bool ok = store_.prepare(txn, reads, writes);
-  respond(Outcome::success(Value(ok)));
-}
-
-void ShardServer::handle_batch_prepare(ValueList args,
-                                       std::function<void(Outcome)> respond,
-                                       int attempt) {
-  if (nack_wrong_epoch(args, respond)) return;
-  const auto batch_id = static_cast<kv::TxnId>(args.at(0).as_int());
-  const auto entries = decode_batch_entries(args.at(1));
   bool warm = false;
   for (const auto& e : entries) {
     for (const auto& r : e.reads) warm = warm || is_warming(r.key);
@@ -210,8 +132,7 @@ void ShardServer::handle_batch_prepare(ValueList args,
           std::chrono::microseconds(500),
           [this, args = std::move(args), respond = std::move(respond),
            attempt]() mutable {
-            handle_batch_prepare(std::move(args), std::move(respond),
-                                 attempt + 1);
+            handle_prepare(std::move(args), std::move(respond), attempt + 1);
           });
     } else {
       respond(Outcome::success(
@@ -219,25 +140,21 @@ void ShardServer::handle_batch_prepare(ValueList args,
     }
     return;
   }
-  const auto votes = store_.prepare_batch(batch_id, entries);
-  respond(Outcome::success(encode_batch_flags(votes)));
+  respond(Outcome::success(encode_batch_flags(store_.prepare(owner, entries))));
 }
 
-void ShardServer::handle_batch_apply(ValueList args,
-                                     std::function<void(Outcome)> respond) {
-  const auto batch_id = static_cast<kv::TxnId>(args.at(0).as_int());
-  const bool commit = args.at(1).as_bool();
-  if (!commit) {
-    store_.abort_batch(batch_id);
-    respond(Outcome::success(Value(true)));
+void ShardServer::handle_apply(const ValueList& args) {
+  const auto owner = static_cast<kv::TxnId>(args.at(0).as_int());
+  if (!args.at(1).as_bool()) {
+    store_.abort(owner);
     return;
   }
   const auto entries = decode_batch_entries(args.at(2));
   const auto decisions = decode_batch_flags(args.at(3));
   const std::int64_t version_base = args.at(4).as_int();
-  store_.commit_batch(batch_id, entries, decisions, version_base);
+  store_.commit(owner, entries, decisions, version_base);
   if (log_ != nullptr) {
-    // One group append for the whole batch: N records, one lock, one flush
+    // One group append for the whole round: N records, one lock, one flush
     // (TxnLog::append_batch) — the log-side half of group commit.
     std::vector<kv::CommitRecord> records;
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -248,13 +165,12 @@ void ShardServer::handle_batch_apply(ValueList args,
     }
     log_->append_batch(std::move(records));
   }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (i >= decisions.size() || !decisions[i]) continue;
-    const auto& e = entries[i];
-    forward_migrated(e.txn, e.writes,
-                     version_base + static_cast<std::int64_t>(e.txn));
-  }
-  respond(Outcome::success(Value(true)));
+  // Forwarded applies carry the sender's epoch as a 6th arg; only
+  // re-forward when our view is strictly newer, so a forwarding cycle
+  // between servers on different epochs cannot loop.
+  const bool may_forward =
+      args.size() < 6 || args.at(5).as_int() < views_->epoch();
+  if (may_forward) forward_migrated(entries, decisions, version_base);
 }
 
 void ShardServer::serve_read(const std::string& key,
@@ -406,22 +322,28 @@ void ShardServer::handle_view_pull(ValueList args,
   respond(Outcome::success(encode_store_entries(store_.export_if(in_slots))));
 }
 
-void ShardServer::forward_migrated(kv::TxnId txn,
-                                   const std::vector<kv::WriteOp>& writes,
-                                   std::int64_t version) {
+void ShardServer::forward_migrated(const std::vector<kv::BatchEntry>& entries,
+                                   const std::vector<bool>& decisions,
+                                   std::int64_t version_base) {
   auto view = views_->get();
-  std::map<int, std::vector<kv::WriteOp>> moved;
-  for (const auto& w : writes) {
-    const int owner = view->shard_of(w.key);
-    if (owner != shard_) moved[owner].push_back(w);
-  }
-  for (auto& [owner, ws] : moved) {
-    ValueList fwd;
-    fwd.emplace_back(static_cast<std::int64_t>(txn));
-    fwd.push_back(encode_writes(ws));
-    fwd.emplace_back(version);
-    fwd.emplace_back(view->epoch);
-    kit_.call(view->shard_addr(dc_, owner), kApply, std::move(fwd));
+  for (std::size_t i = 0; i < entries.size() && i < decisions.size(); ++i) {
+    if (!decisions[i]) continue;
+    std::map<int, kv::BatchEntry> moved;
+    for (const auto& w : entries[i].writes) {
+      const int owner = view->shard_of(w.key);
+      if (owner != shard_) moved[owner].writes.push_back(w);
+    }
+    for (auto& [owner, sub] : moved) {
+      sub.txn = entries[i].txn;
+      ValueList fwd;
+      fwd.emplace_back(static_cast<std::int64_t>(sub.txn));
+      fwd.emplace_back(true);
+      fwd.push_back(encode_batch_entries({sub}));
+      fwd.push_back(encode_batch_flags({true}));
+      fwd.emplace_back(version_base);
+      fwd.emplace_back(view->epoch);
+      kit_.call(view->shard_addr(dc_, owner), kApply, std::move(fwd));
+    }
   }
 }
 
@@ -457,23 +379,8 @@ Coordinator::Coordinator(RpcKit& kit, std::shared_ptr<ViewProvider> views,
       kDecide, [this](ValueList args, std::function<void(Outcome)> respond) {
         with_cpu(costs_.commit, [this, args = std::move(args),
                                  respond = std::move(respond)] {
-          handle_decide(args, respond);
-        });
-      });
-  kit_.register_handler(
-      kBatchCommit,
-      [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.commit, [this, args = std::move(args),
-                                 respond = std::move(respond)] {
-          handle_batch_commit(std::move(args), std::move(respond));
-        });
-      });
-  kit_.register_handler(
-      kBatchDecide,
-      [this](ValueList args, std::function<void(Outcome)> respond) {
-        with_cpu(costs_.commit, [this, args = std::move(args),
-                                 respond = std::move(respond)] {
-          handle_batch_decide(std::move(args), std::move(respond));
+          handle_decide(args);
+          respond(Outcome::success(Value(true)));
         });
       });
   kit_.register_handler(
@@ -508,31 +415,16 @@ void Coordinator::with_cpu(Duration cost, std::function<void()> work) {
 
 namespace {
 
-/// Splits read/write sets by owning shard under `view`. Only shards that
-/// own at least one key participate in the local 2PC.
-struct ShardSets {
-  std::vector<kv::ReadValidation> reads;
-  std::vector<kv::WriteOp> writes;
-};
-
-std::map<int, ShardSets> split_by_shard(
-    const ClusterView& view, const std::vector<kv::ReadValidation>& reads,
-    const std::vector<kv::WriteOp>& writes) {
-  std::map<int, ShardSets> out;
-  for (const auto& r : reads) out[view.shard_of(r.key)].reads.push_back(r);
-  for (const auto& w : writes) out[view.shard_of(w.key)].writes.push_back(w);
-  return out;
-}
-
-/// Per-shard slice of a batch: the sub-entries owning keys on that shard,
-/// in batch order, plus each sub-entry's position in the full batch so
-/// per-shard votes can be folded back into the batch-wide vote vector.
+/// Per-shard slice of a commit round: the sub-entries owning keys on that
+/// shard, in round order, plus each sub-entry's position in the full round
+/// so per-shard votes can be folded back into the round-wide vote vector.
+/// Only shards that own at least one key participate in the local 2PC.
 struct ShardBatch {
   std::vector<kv::BatchEntry> entries;
   std::vector<std::size_t> positions;
 };
 
-std::map<int, ShardBatch> split_batch_by_shard(
+std::map<int, ShardBatch> split_entries_by_shard(
     const ClusterView& view, const std::vector<kv::BatchEntry>& entries) {
   std::map<int, ShardBatch> out;
   for (std::size_t pos = 0; pos < entries.size(); ++pos) {
@@ -559,9 +451,9 @@ std::map<int, ShardBatch> split_batch_by_shard(
 
 }  // namespace
 
-void Coordinator::handle_batch_commit(ValueList args,
-                                      std::function<void(Outcome)> respond) {
-  const std::int64_t batch_id = args.at(0).as_int();
+void Coordinator::handle_commit(const ValueList& args,
+                                std::function<void(Outcome)> respond) {
+  const std::int64_t owner = args.at(0).as_int();
   const auto entries = decode_batch_entries(args.at(1));
   const std::int64_t vepoch = args.at(2).as_int();
   auto view = views_->get();
@@ -569,14 +461,14 @@ void Coordinator::handle_batch_commit(ValueList args,
     respond(Outcome::failure(wrong_epoch_error(*view)));
     return;
   }
-  auto by_shard = split_batch_by_shard(*view, entries);
+  auto by_shard = split_entries_by_shard(*view, entries);
   if (by_shard.empty()) {
     respond(Outcome::success(
         encode_batch_flags(std::vector<bool>(entries.size(), true))));
     return;
   }
-  // DC-local 2PC prepare, one batch.prepare per participating shard. Votes
-  // come back per sub-entry and are ANDed into the batch-wide vector; a
+  // DC-local 2PC prepare, one rc.prepare per participating shard. Votes
+  // come back per sub-entry and are ANDed into the round-wide vector; a
   // failed shard RPC conservatively votes no for every entry it owned.
   struct Agg {
     std::mutex mu;
@@ -591,10 +483,10 @@ void Coordinator::handle_batch_commit(ValueList args,
   agg->respond = std::move(respond);
   for (auto& [shard, sb] : by_shard) {
     ValueList prepare_args;
-    prepare_args.emplace_back(batch_id);
+    prepare_args.emplace_back(owner);
     prepare_args.push_back(encode_batch_entries(sb.entries));
     prepare_args.emplace_back(vepoch);
-    auto future = kit_.call(view->shard_addr(dc_, shard), kBatchPrepare,
+    auto future = kit_.call(view->shard_addr(dc_, shard), kPrepare,
                             std::move(prepare_args));
     future->then([agg, positions = sb.positions](const Outcome& outcome) {
       bool done = false;
@@ -622,7 +514,7 @@ void Coordinator::handle_batch_commit(ValueList args,
       if (!done) return;
       // A shard raced past us to a newer epoch: surface the NACK (with its
       // view payload) instead of a silent all-no vote, so the client
-      // refreshes and re-plans the batch.
+      // refreshes and re-runs the round.
       if (!epoch_error.empty()) {
         agg->respond(Outcome::failure(epoch_error));
       } else {
@@ -632,15 +524,14 @@ void Coordinator::handle_batch_commit(ValueList args,
   }
 }
 
-void Coordinator::handle_batch_decide(ValueList args,
-                                      std::function<void(Outcome)> respond) {
-  const std::int64_t batch_id = args.at(0).as_int();
+void Coordinator::handle_decide(const ValueList& args) {
+  const std::int64_t owner = args.at(0).as_int();
   const bool commit = args.at(1).as_bool();
   const auto entries = decode_batch_entries(args.at(2));
   const auto decisions = decode_batch_flags(args.at(3));
   const std::int64_t version_base = args.at(4).as_int();
   const std::int64_t vepoch = args.size() > 5 ? args.at(5).as_int() : 0;
-  // Decides are not epoch-checked: the batch resolves in the epoch that
+  // Decides are not epoch-checked: the round resolves in the epoch that
   // prepared it. Route to the owners under BOTH the prepared view (its
   // locks live there) and the current view (migrated keys need the apply at
   // their new home too); applies are version-monotone so duplicates are
@@ -648,10 +539,10 @@ void Coordinator::handle_batch_decide(ValueList args,
   auto current = views_->get();
   auto prepared = views_->at_epoch(vepoch);
   const auto send_under = [&](const ClusterView& view) {
-    auto by_shard = split_batch_by_shard(view, entries);
+    auto by_shard = split_entries_by_shard(view, entries);
     for (auto& [shard, sb] : by_shard) {
       ValueList apply_args;
-      apply_args.emplace_back(batch_id);
+      apply_args.emplace_back(owner);
       apply_args.emplace_back(commit);
       if (commit) {
         std::vector<bool> sub_decisions;
@@ -659,116 +550,18 @@ void Coordinator::handle_batch_decide(ValueList args,
         for (const std::size_t pos : sb.positions) {
           sub_decisions.push_back(pos < decisions.size() && decisions[pos]);
         }
+        for (auto& e : sb.entries) e.reads.clear();  // apply needs writes only
         apply_args.push_back(encode_batch_entries(sb.entries));
         apply_args.push_back(encode_batch_flags(sub_decisions));
         apply_args.emplace_back(version_base);
       }
-      kit_.call(view.shard_addr(dc_, shard), kBatchApply,
-                std::move(apply_args));
+      kit_.call(view.shard_addr(dc_, shard), kApply, std::move(apply_args));
     }
   };
   send_under(*current);
   if (prepared != nullptr && prepared->epoch != current->epoch) {
     send_under(*prepared);
   }
-  respond(Outcome::success(Value(true)));
-}
-
-void Coordinator::handle_commit(ValueList args,
-                                std::function<void(Outcome)> respond) {
-  const std::int64_t txn = args.at(0).as_int();
-  const auto reads = decode_reads(args.at(1));
-  const auto writes = decode_writes(args.at(2));
-  const std::int64_t vepoch = args.at(3).as_int();
-  auto view = views_->get();
-  if (vepoch != view->epoch) {
-    respond(Outcome::failure(wrong_epoch_error(*view)));
-    return;
-  }
-  const auto by_shard = split_by_shard(*view, reads, writes);
-  if (by_shard.empty()) {
-    respond(Outcome::success(Value(true)));
-    return;
-  }
-  // Datacentre-local 2PC prepare across the involved shards.
-  struct Agg {
-    std::mutex mu;
-    int remaining;
-    bool ok = true;
-    std::function<void(Outcome)> respond;
-    std::string epoch_error;
-  };
-  auto agg = std::make_shared<Agg>();
-  agg->remaining = static_cast<int>(by_shard.size());
-  agg->respond = std::move(respond);
-  for (const auto& [shard, sets] : by_shard) {
-    ValueList prepare_args;
-    prepare_args.emplace_back(txn);
-    prepare_args.push_back(encode_reads(sets.reads));
-    prepare_args.push_back(encode_writes(sets.writes));
-    prepare_args.emplace_back(vepoch);
-    auto future = kit_.call(view->shard_addr(dc_, shard), kPrepare,
-                            std::move(prepare_args));
-    future->then([agg](const Outcome& outcome) {
-      bool done = false;
-      bool vote = false;
-      std::string epoch_error;
-      {
-        std::lock_guard<std::mutex> lock(agg->mu);
-        if (!outcome.ok || !outcome.value.as_bool()) agg->ok = false;
-        if (!outcome.ok && agg->epoch_error.empty() &&
-            is_wrong_epoch(outcome.error)) {
-          agg->epoch_error = outcome.error;
-        }
-        if (--agg->remaining == 0) {
-          done = true;
-          vote = agg->ok;
-          epoch_error = agg->epoch_error;
-        }
-      }
-      if (!done) return;
-      if (!epoch_error.empty()) {
-        agg->respond(Outcome::failure(epoch_error));
-      } else {
-        agg->respond(Outcome::success(Value(vote)));
-      }
-    });
-  }
-}
-
-void Coordinator::handle_decide(ValueList args,
-                                std::function<void(Outcome)> respond) {
-  const std::int64_t txn = args.at(0).as_int();
-  const bool commit = args.at(1).as_bool();
-  const auto writes = decode_writes(args.at(2));
-  const std::int64_t version = args.at(3).as_int();
-  const auto reads = decode_reads(args.at(4));
-  const std::int64_t vepoch = args.size() > 5 ? args.at(5).as_int() : 0;
-  // Same union routing as batch decide: resolve in the prepared epoch AND
-  // land migrated writes at their current home.
-  auto current = views_->get();
-  auto prepared = views_->at_epoch(vepoch);
-  const auto send_under = [&](const ClusterView& view) {
-    const auto by_shard = split_by_shard(view, reads, writes);
-    for (const auto& [shard, sets] : by_shard) {
-      if (commit) {
-        ValueList apply_args;
-        apply_args.emplace_back(txn);
-        apply_args.push_back(encode_writes(sets.writes));
-        apply_args.emplace_back(version);
-        kit_.call(view.shard_addr(dc_, shard), kApply, std::move(apply_args));
-      } else {
-        ValueList abort_args;
-        abort_args.emplace_back(txn);
-        kit_.call(view.shard_addr(dc_, shard), kAbort, std::move(abort_args));
-      }
-    }
-  };
-  send_under(*current);
-  if (prepared != nullptr && prepared->epoch != current->epoch) {
-    send_under(*prepared);
-  }
-  respond(Outcome::success(Value(true)));
 }
 
 }  // namespace srpc::rc

@@ -2,7 +2,9 @@
 //
 // ShardServer exposes quorum-read and local-2PC participant operations over
 // one VersionedStore replica. Coordinator runs the datacentre-local 2PC for
-// rc.commit and forwards the global decision to its shards. Both are
+// rc.commit and forwards the global decision (rc.decide) to its shards. A
+// commit round carries a list of transaction entries: one for a
+// per-transaction commit, many for a queue-oriented group commit. Both are
 // framework-independent via RpcKit, matching the paper's claim that the RC
 // protocol code is unchanged between the gRPC/TradRPC/SpecRPC builds.
 //
@@ -32,8 +34,8 @@ namespace srpc::rc {
 struct ServerCosts {
   Duration read{};     // per rc.read
   Duration prepare{};  // per rc.prepare
-  Duration apply{};    // per rc.apply / rc.abort
-  Duration commit{};   // per rc.commit at the coordinator
+  Duration apply{};    // per rc.apply (commit or abort)
+  Duration commit{};   // per rc.commit / rc.decide at the coordinator
 };
 
 class ShardServer {
@@ -58,10 +60,7 @@ class ShardServer {
                   std::function<void(Outcome)> respond, int attempt);
   void handle_prepare(ValueList args, std::function<void(Outcome)> respond,
                       int attempt);
-  void handle_batch_prepare(ValueList args,
-                            std::function<void(Outcome)> respond, int attempt);
-  void handle_batch_apply(ValueList args,
-                          std::function<void(Outcome)> respond);
+  void handle_apply(const ValueList& args);
   void handle_view_install(ValueList args,
                            std::function<void(Outcome)> respond);
   void handle_view_pull(ValueList args, std::function<void(Outcome)> respond);
@@ -76,9 +75,11 @@ class ShardServer {
   /// retrying until the source has installed the epoch and drained prepared
   /// transactions on those keys.
   void pull_from(Address source, std::vector<int> slots, int attempt);
-  /// Re-applies writes whose key now lives on another shard of this DC.
-  void forward_migrated(kv::TxnId txn, const std::vector<kv::WriteOp>& writes,
-                        std::int64_t version);
+  /// Re-applies decided writes whose key now lives on another shard of
+  /// this DC, one forwarded rc.apply per entry and owning shard.
+  void forward_migrated(const std::vector<kv::BatchEntry>& entries,
+                        const std::vector<bool>& decisions,
+                        std::int64_t version_base);
 
   RpcKit& kit_;
   kv::VersionedStore& store_;
@@ -102,12 +103,9 @@ class Coordinator {
 
  private:
   void with_cpu(Duration cost, std::function<void()> work);
-  void handle_commit(ValueList args, std::function<void(Outcome)> respond);
-  void handle_decide(ValueList args, std::function<void(Outcome)> respond);
-  void handle_batch_commit(ValueList args,
-                           std::function<void(Outcome)> respond);
-  void handle_batch_decide(ValueList args,
-                           std::function<void(Outcome)> respond);
+  void handle_commit(const ValueList& args,
+                     std::function<void(Outcome)> respond);
+  void handle_decide(const ValueList& args);
 
   RpcKit& kit_;
   std::shared_ptr<ViewProvider> views_;

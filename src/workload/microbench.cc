@@ -372,17 +372,22 @@ MicroResult run_microbench(const MicroConfig& config, Duration warmup,
         const TimePoint t0 = Clock::now();
         if (t0 >= measure_until) break;
         Duration latency;
+        bool failed = false;
         try {
           latency = (config.flavor == Flavor::kSpec)
                         ? run_one_request_spec(fixture, c, seq, rng)
                         : run_one_request_sync(fixture, c, seq);
         } catch (const std::exception& e) {
           SRPC_LOG(WARN) << "microbench request failed: " << e.what();
-          continue;
+          failed = true;
         }
-        ++seq;
+        if (!failed) ++seq;
         if (t0 < measure_from) continue;
         std::lock_guard<std::mutex> lock(mu);
+        if (failed) {
+          result.failed++;
+          continue;
+        }
         result.latency.record(latency);
         result.requests++;
       }

@@ -74,6 +74,7 @@ struct MicroConfig {
 struct MicroResult {
   stats::Histogram latency;  // request completion time
   std::uint64_t requests = 0;
+  std::uint64_t failed = 0;  // requests that threw, measure window
   double elapsed_s = 0;
   TrafficStats client_traffic;  // summed over client nodes, measure window
   TrafficStats server_traffic;

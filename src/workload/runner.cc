@@ -38,15 +38,18 @@ RcRunResult run_rc_closed_loop(const std::vector<rc::RcClient*>& clients,
         while (Clock::now() < measure_until) {
           const TimePoint t0 = Clock::now();
           rc::TxnResult txn;
+          bool failed = false;
           try {
             txn = client.run(next_txn());
           } catch (const std::exception& e) {
             SRPC_LOG(WARN) << "txn failed: " << e.what();
-            continue;
+            failed = true;
           }
           if (t0 < measure_from || t0 >= measure_until) continue;
           std::lock_guard<std::mutex> lock(result_mu);
-          if (txn.committed) {
+          if (failed) {
+            result.failed++;
+          } else if (txn.committed) {
             result.committed++;
             if (txn.read_only) result.read_only++;
             result.txn_latency.record(txn.total);
@@ -123,14 +126,19 @@ BatchRunResult run_batch_closed_loop(
       while (Clock::now() < measure_until) {
         const TimePoint t0 = Clock::now();
         batch::EpochResult epoch;
+        bool failed = false;
         try {
           epoch = client.run_epoch(next_epoch());
         } catch (const std::exception& e) {
           SRPC_LOG(WARN) << "batch epoch failed: " << e.what();
-          continue;
+          failed = true;
         }
         if (t0 < measure_from || t0 >= measure_until) continue;
         std::lock_guard<std::mutex> lock(result_mu);
+        if (failed) {
+          result.failed++;
+          continue;
+        }
         result.epochs++;
         result.committed += epoch.committed;
         result.aborted += epoch.aborted;

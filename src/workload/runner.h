@@ -18,6 +18,8 @@ struct RcRunResult {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t read_only = 0;
+  /// Transactions that threw instead of deciding (e.g. no read quorum).
+  std::uint64_t failed = 0;
   double elapsed_s = 0;
 
   double committed_per_s() const {
@@ -38,7 +40,8 @@ using WorkloadFactory =
 
 /// Runs every client of `cluster` in a closed loop for warmup+measure,
 /// recording only transactions that *start* inside the measurement window
-/// (the paper measures the middle of each run for the same reason).
+/// (the paper measures the middle of each run for the same reason). A
+/// transaction that throws is counted in `failed`, not retried.
 RcRunResult run_rc_closed_loop(rc::RcCluster& cluster,
                                const WorkloadFactory& workload_factory,
                                Duration warmup, Duration measure);
@@ -59,6 +62,7 @@ struct BatchRunResult {
   std::uint64_t committed = 0;      // transactions, not epochs
   std::uint64_t aborted = 0;
   std::uint64_t epochs = 0;
+  std::uint64_t failed = 0;         // epochs that threw instead of deciding
   double elapsed_s = 0;
 
   double committed_per_s() const {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <thread>
 
 #include "batch/client.h"
@@ -203,7 +204,7 @@ TEST(StoreBatch, QueueOrderPrepareVotesSuffixOnly) {
   entries[1] = {102, 1, {{"b", 99}}, {{"b", "v1"}}};  // stale read: no
   entries[2] = {103, 2, {}, {{"a", "v2"}}};  // overlaps entry 0: fine in-batch
 
-  const auto votes = store.prepare_batch(/*batch_id=*/500, entries);
+  const auto votes = store.prepare(/*owner=*/500, entries);
   ASSERT_EQ(votes.size(), 3u);
   EXPECT_TRUE(votes[0]);
   EXPECT_FALSE(votes[1]);  // only the bad entry votes no
@@ -216,7 +217,7 @@ TEST(StoreBatch, QueueOrderPrepareVotesSuffixOnly) {
 
   // Commit applies decided entries at version_base + txn; later entries in
   // the queue win on overlapping keys.
-  store.commit_batch(500, entries, {true, false, true}, 1000);
+  store.commit(500, entries, {true, false, true}, 1000);
   EXPECT_FALSE(store.is_locked("a"));
   EXPECT_EQ(store.get("a")->value, "v2");
   EXPECT_EQ(store.get("a")->version, 1000 + 103);
@@ -227,16 +228,16 @@ TEST(StoreBatch, ForeignLockBlocksEntryAndAbortReleases) {
   kv::VersionedStore store;
   store.load("a", "init", 1);
   store.load("b", "init", 1);
-  ASSERT_TRUE(store.prepare(/*txn=*/42, {}, {{"a", "other"}}));
+  ASSERT_TRUE(store.prepare(/*owner=*/42, {{42, 0, {}, {{"a", "other"}}}})[0]);
 
   std::vector<kv::BatchEntry> entries(2);
   entries[0] = {201, 0, {}, {{"a", "x"}}};  // foreign lock: no
   entries[1] = {202, 1, {{"b", 1}}, {{"b", "y"}}};
-  const auto votes = store.prepare_batch(600, entries);
+  const auto votes = store.prepare(600, entries);
   EXPECT_FALSE(votes[0]);
   EXPECT_TRUE(votes[1]);
 
-  store.abort_batch(600);
+  store.abort(600);
   EXPECT_FALSE(store.is_locked("b"));
   EXPECT_EQ(store.lock_holder("a").value_or(0), 42u);  // untouched
   EXPECT_EQ(store.get("b")->value, "init");
@@ -395,7 +396,8 @@ TEST(BatchAtomicity, CrossPartitionStraddleAbortsWhole) {
   // cannot gather a majority for that entry anywhere it matters.
   for (int dc = 0; dc < 2; ++dc) {
     ASSERT_TRUE(cluster.store(dc, 0).prepare(
-        /*txn=*/999999, {}, {kv::WriteOp{blocked, "locked"}}));
+        /*owner=*/999999,
+        {{999999, 0, {}, {kv::WriteOp{blocked, "locked"}}}})[0]);
   }
 
   std::vector<BatchTxn> txns;
@@ -425,7 +427,7 @@ TEST(BatchAtomicity, DependencyClosureAbortsOverlayReaders) {
 
   for (int dc = 0; dc < 2; ++dc) {
     ASSERT_TRUE(cluster.store(dc, 0).prepare(
-        /*txn=*/999998, {}, {kv::WriteOp{ka, "locked"}}));
+        /*owner=*/999998, {{999998, 0, {}, {kv::WriteOp{ka, "locked"}}}})[0]);
   }
 
   // txn0 writes ka (will abort); txn1 only *reads* ka (an overlay read —
@@ -447,6 +449,94 @@ TEST(BatchAtomicity, DependencyClosureAbortsOverlayReaders) {
 }
 
 // ---------------------------------------------------------------- pressure
+
+TEST(BatchMixed, PerTxnAndBatchRoundsInterleaveOnSharedKeys) {
+  // A per-transaction commit is a commit round of one entry, so RcClient
+  // rounds and batch rounds share lock owners, the version space and the
+  // decide path. Run both at once on the same hot counters: the replicas
+  // must end in the serial result of the committed increments (increments
+  // commute, so any serial order gives the same state), with no lock left.
+  rc::RcCluster cluster(
+      batch_cluster(Flavor::kSpec, BatchMode::kSpeculative));
+  const std::vector<std::string> hot = {key_on_shard(0), key_on_shard(1),
+                                        key_on_shard(2)};
+  std::mutex mu;
+  std::map<std::string, long long> committed;  // per key, both clients
+  long long per_txn_commits = 0;
+  std::thread per_txn([&] {
+    auto& client = cluster.client(1, 0);
+    for (std::size_t i = 0; i < 24; ++i) {
+      const std::string& key = hot[i % hot.size()];
+      const rc::TxnResult r =
+          client.run_transform(key, [](const std::string& current) {
+            return apply_transform(Transform::kIncrement, current, "1");
+          });
+      if (!r.committed) continue;
+      std::lock_guard<std::mutex> lock(mu);
+      committed[key]++;
+      per_txn_commits++;
+    }
+  });
+  auto& batch = cluster.batch_client(0, 0);
+  std::size_t batch_commits = 0;
+  for (std::uint64_t e = 0; e < 6; ++e) {
+    std::vector<BatchTxn> txns;
+    for (std::uint64_t t = 0; t < 6; ++t) {
+      txns.push_back(txn_of(e * 6 + t, {incr_op(hot[t % hot.size()])}));
+    }
+    const EpochResult r = batch.run_epoch(txns);
+    ASSERT_EQ(r.decisions.size(), txns.size());
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t t = 0; t < txns.size(); ++t) {
+      if (!r.decisions[t]) continue;
+      committed[txns[t].ops[0].key]++;
+      batch_commits++;
+    }
+  }
+  per_txn.join();
+  EXPECT_GT(per_txn_commits, 0);
+  EXPECT_GT(batch_commits, 0u);
+
+  std::map<std::string, std::string> expected;
+  for (const auto& [key, n] : committed) expected[key] = std::to_string(n);
+  expect_converged(cluster, expected);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  const auto locked = [&cluster] {
+    std::size_t total = 0;
+    for (int dc = 0; dc < cluster.num_dcs(); ++dc) {
+      for (int shard = 0; shard < cluster.total_shards(); ++shard) {
+        total += cluster.store(dc, shard).locked_keys();
+      }
+    }
+    return total;
+  };
+  while (locked() != 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(locked(), 0u);
+}
+
+TEST(BatchTeardown, TradClusterDestroyedWithDecidesInFlight) {
+  // The last epochs' decide broadcasts are still on the wire when a run
+  // ends. Destroying the cluster must detach every machine first, or a late
+  // rc.decide/rc.apply runs a handler of a destroyed server (a
+  // heap-use-after-free under ASan).
+  for (int round = 0; round < 5; ++round) {
+    rc::RcCluster cluster(
+        batch_cluster(Flavor::kTrad, BatchMode::kGroupCommit));
+    wl::QStreamConfig wc;
+    wc.num_keys = 1000;
+    wl::BatchWorkloadFactory factory = [wc](int client_index) {
+      auto workload = std::make_shared<wl::QStreamWorkload>(
+          wc, 40 + static_cast<std::uint64_t>(client_index));
+      return [workload] { return workload->next_epoch(); };
+    };
+    const auto run = wl::run_batch_closed_loop(
+        cluster, factory, Duration::zero(), std::chrono::milliseconds(100));
+    EXPECT_GT(run.epochs, 0u);
+    EXPECT_EQ(run.failed, 0u);
+  }
+}
 
 TEST(BatchPressure, GaugeTracksPlannedOpsAndFeedsAdmission) {
   auto gauge = std::make_shared<BatchQueueGauge>(static_view().num_shards);

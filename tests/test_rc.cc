@@ -73,7 +73,7 @@ TEST_P(RcFlavorTest, ConflictOnMajorityAborts) {
   // cannot gather a majority of yes votes.
   for (int dc = 0; dc < 2; ++dc) {
     ASSERT_TRUE(cluster.store(dc, shard).prepare(
-        /*txn=*/999999, {}, {kv::WriteOp{key, "blocked"}}));
+        /*owner=*/999999, {{999999, 0, {}, {kv::WriteOp{key, "blocked"}}}})[0]);
   }
   auto& client = cluster.client(0, 0);
   std::vector<Op> ops;
@@ -87,7 +87,7 @@ TEST_P(RcFlavorTest, ConflictOnMinorityStillCommits) {
   const std::string key = "k00000004";
   const int shard = cluster.view()->shard_of(key);
   ASSERT_TRUE(cluster.store(2, shard).prepare(
-      /*txn=*/999998, {}, {kv::WriteOp{key, "blocked"}}));
+      /*owner=*/999998, {{999998, 0, {}, {kv::WriteOp{key, "blocked"}}}})[0]);
   auto& client = cluster.client(0, 0);
   std::vector<Op> ops;
   ops.push_back(Op{false, key, "winner"});

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rc/cluster.h"
+#include "workload/runner.h"
 
 namespace srpc::rc {
 namespace {
@@ -104,6 +105,27 @@ TEST_P(RcFailureTest, WritesDuringPartitionReachLaggingDcAfterHeal) {
   TxnResult v = cluster.client(2, 0).run(verify);
   ASSERT_TRUE(v.committed);
   EXPECT_EQ(v.reads.at(0).value, "majority-write");
+}
+
+TEST_P(RcFailureTest, MajorityPartitionCountsFailedTxns) {
+  RcCluster cluster(failover_cluster(GetParam()));
+  partition_dc(cluster, 1, true);
+  partition_dc(cluster, 2, true);  // every DC alone: no read quorum anywhere
+
+  // The closed loop must report the thrown transactions as a count, not
+  // just log them.
+  const wl::WorkloadFactory factory = [](int) {
+    return [] {
+      std::vector<Op> ops;
+      ops.push_back(Op{true, "k00000014", {}});
+      ops.push_back(Op{false, "k00000014", "cut off"});
+      return ops;
+    };
+  };
+  const auto run = wl::run_rc_closed_loop(cluster, factory, Duration::zero(),
+                                          std::chrono::milliseconds(500));
+  EXPECT_GT(run.failed, 0u);
+  EXPECT_EQ(run.committed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Flavors, RcFailureTest,
