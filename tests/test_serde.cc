@@ -11,6 +11,12 @@
 #include "specrpc/wire.h"
 
 namespace srpc {
+
+// Codec parameters print by name, not by address: the address moves with
+// every process (ASLR), and it would make the test names that CTest records
+// at discovery differ from build to build.
+void PrintTo(const Codec* codec, std::ostream* os) { *os << codec->name(); }
+
 namespace {
 
 TEST(Value, TypeAccessorsAndErrors) {
