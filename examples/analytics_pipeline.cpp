@@ -108,6 +108,10 @@ int main() {
   client.begin_shutdown();
   analysis.begin_shutdown();
   data.begin_shutdown();
+  // Drain the executor before the engines are destroyed: a branch task that
+  // is still running (the unparked spec_block above) must not reach a freed
+  // engine.
+  net.executor().shutdown();
   // With both predictions correct, everything overlaps: the critical path is
   // max(sync, ai) + small network delays, not their sum.
   return elapsed < to_ms(kSyncDelay + kAiCompute) ? 0 : 1;

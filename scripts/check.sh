@@ -103,6 +103,19 @@ cmake --build --preset asan -j"$(nproc)" --target perf_overload
 (cd build-asan && SPECRPC_OVERLOAD_SECS=0.2 SPECRPC_OVERLOAD_FRACS=0.5,2 \
   SPECRPC_OVERLOAD_THREADS=4 ./bench/perf_overload)
 
+# Adaptive-speculation smoke under ASan (DESIGN.md §8.3): the only bench
+# that drives the adaptive speculation gate through the engine's
+# supplier/observer hooks. The windows are the shortest in which the
+# adversarial workload's gate still closes (its gate_suppressed column is
+# nonzero; with 0.5 s windows it never does); checks the gate, tracker and
+# manager paths and the bench's shutdown drain for leaks and lifetime bugs.
+# The acceptance ratios (EXPERIMENTS.md) are release-build only. Run from
+# the build tree so the instrumented BENCH_predict.json doesn't clobber the
+# release one at the root.
+cmake --build --preset asan -j"$(nproc)" --target perf_predict
+(cd build-asan && SPECRPC_PREDICT_WARMUP_S=1.5 SPECRPC_PREDICT_MEASURE_S=1 \
+  ./bench/perf_predict)
+
 # Batch-transactions smoke under ASan (DESIGN.md §12): tiny windows, one
 # conflict point, process phase skipped (sanitized children would distort
 # nothing useful here) — checks the planner/executor/group-commit paths

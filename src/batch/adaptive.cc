@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "optmodel/model.h"
-
 namespace srpc::batch {
 
 namespace {
@@ -42,7 +40,16 @@ AdaptiveBatchStats& AdaptiveBatchStats::operator+=(
 
 AdaptiveBatchController::AdaptiveBatchController(AdaptiveBatchConfig config)
     : config_(config),
-      break_even_(opt::break_even_accuracy(config.misspec_cost)),
+      band_(opt::break_even_band(config.misspec_cost, config.hysteresis)),
+      // The initial mode seeds the gates; they move once signals warm up.
+      conflict_gate_(1, config.release_streak, 0,
+                     config.initial_mode == BatchMode::kPerTxn2pc ? 1 : 0),
+      spec_gate_(1, config.release_streak, 0,
+                 config.allow_speculative &&
+                         config.initial_mode == BatchMode::kSpeculative
+                     ? 0
+                     : 1),
+      probe_{config.probe_every},
       conflict_ewma_(config.ewma_alpha),
       conflict_win_(config.window),
       accuracy_ewma_(config.ewma_alpha),
@@ -52,18 +59,12 @@ AdaptiveBatchController::AdaptiveBatchController(AdaptiveBatchConfig config)
   config_.max_epoch = std::max(config_.max_epoch, config_.min_epoch);
   epoch_size_ = std::clamp(config_.initial_epoch, config_.min_epoch,
                            config_.max_epoch);
-  // The initial mode seeds the gates; they move once signals warm up.
-  per_txn_ = config_.initial_mode == BatchMode::kPerTxn2pc;
-  spec_open_ = config_.allow_speculative &&
-               config_.initial_mode == BatchMode::kSpeculative;
 }
 
-double AdaptiveBatchController::accuracy_off_threshold() const {
-  return break_even_ - config_.hysteresis;
-}
-
-double AdaptiveBatchController::accuracy_on_threshold() const {
-  return break_even_ + config_.hysteresis;
+BatchMode AdaptiveBatchController::steady_mode() const {
+  if (conflict_gate_.engaged()) return BatchMode::kPerTxn2pc;
+  return spec_gate_.engaged() ? BatchMode::kGroupCommit
+                              : BatchMode::kSpeculative;
 }
 
 std::size_t AdaptiveBatchController::clamp_size(double size) const {
@@ -73,35 +74,26 @@ std::size_t AdaptiveBatchController::clamp_size(double size) const {
 
 BatchDecision AdaptiveBatchController::next() {
   std::lock_guard<std::mutex> lock(mu_);
-  const BatchMode steady =
-      per_txn_ ? BatchMode::kPerTxn2pc
-               : (spec_open_ && config_.allow_speculative
-                      ? BatchMode::kSpeculative
-                      : BatchMode::kGroupCommit);
   BatchDecision decision;
   decision.epoch_size = epoch_size_;
-  decision.mode = steady;
+  decision.mode = steady_mode();
 
   // Probe the suppressed next-more-aggressive mode so its signals stay
   // live: group commit while the per-txn gate is engaged (does conflict
   // still bite batched epochs?), speculative while the accuracy gate is
   // closed (group epochs prime no seeds, so accuracy can only recover
   // through a probe).
-  BatchMode probe_target = steady;
-  if (per_txn_) {
-    probe_target = BatchMode::kGroupCommit;
-  } else if (!spec_open_ && config_.allow_speculative) {
-    probe_target = BatchMode::kSpeculative;
-  }
-  if (probe_target != steady && config_.probe_every > 0 &&
-      stats_.epochs >= config_.min_samples) {
-    if (++epochs_since_probe_ >= config_.probe_every) {
-      epochs_since_probe_ = 0;
-      decision.mode = probe_target;
+  const bool suppressing =
+      conflict_gate_.engaged() ||
+      (spec_gate_.engaged() && config_.allow_speculative);
+  if (suppressing && stats_.epochs >= config_.min_samples) {
+    if (probe_.tick()) {
+      decision.mode = conflict_gate_.engaged() ? BatchMode::kGroupCommit
+                                               : BatchMode::kSpeculative;
       decision.probe = true;
     }
   } else {
-    epochs_since_probe_ = 0;
+    probe_.since = 0;
   }
   return decision;
 }
@@ -118,32 +110,22 @@ void AdaptiveBatchController::observe(const EpochFeedback& feedback) {
   // its abort counts say nothing about batch amplification, and feeding its
   // near-zero rates here would release the gate blindly.
   const bool batched = feedback.mode != BatchMode::kPerTxn2pc;
-  double epoch_conflict = 0.0;
-  bool saw_conflict = false;
-  if (batched && feedback.txns > 0) {
-    epoch_conflict = static_cast<double>(feedback.aborted +
-                                         feedback.dep_aborts) /
-                     static_cast<double>(feedback.txns);
-    saw_conflict = true;
+  const bool saw_conflict = batched && feedback.txns > 0;
+  if (saw_conflict) {
+    const double epoch_conflict =
+        static_cast<double>(feedback.aborted + feedback.dep_aborts) /
+        static_cast<double>(feedback.txns);
     conflict_ewma_.observe(epoch_conflict);
     conflict_win_.observe(epoch_conflict);
-    if (epoch_conflict <= config_.conflict_lo) {
-      calm_streak_++;
-    } else {
-      calm_streak_ = 0;
-    }
+    conflict_gate_.record(epoch_conflict <= config_.conflict_lo);
   }
   if (feedback.seed_checked > 0) {
     const double accuracy = static_cast<double>(feedback.seed_correct) /
                             static_cast<double>(feedback.seed_checked);
     accuracy_ewma_.observe(accuracy);
     accuracy_win_.observe(accuracy);
-    accuracy_epochs_++;
-    if (accuracy >= accuracy_on_threshold()) {
-      accurate_streak_++;
-    } else {
-      accurate_streak_ = 0;
-    }
+    stats_.accuracy_epochs++;
+    spec_gate_.record(accuracy >= band_.on);
   }
   if (feedback.wire_reads > 0) {
     const double ms_per_read =
@@ -154,34 +136,28 @@ void AdaptiveBatchController::observe(const EpochFeedback& feedback) {
 
   if (stats_.epochs < config_.min_samples) return;  // still warming up
 
-  const auto steady_mode = [this] {
-    return per_txn_ ? BatchMode::kPerTxn2pc
-                    : (spec_open_ && config_.allow_speculative
-                           ? BatchMode::kSpeculative
-                           : BatchMode::kGroupCommit);
-  };
   const BatchMode before = steady_mode();
 
   // Per-txn gate: the windowed signal (fully forgetting) engages it at full
   // strength; release takes `release_streak` consecutive calm batched
   // observations — while engaged, only probe epochs can supply them, so the
   // gate stays put until probes prove the storm is over.
-  if (!per_txn_ && conflict_win_.mean() >= config_.conflict_hi) {
-    per_txn_ = true;
-    calm_streak_ = 0;
-  } else if (per_txn_ && calm_streak_ >= config_.release_streak) {
-    per_txn_ = false;
+  if (!conflict_gate_.engaged() &&
+      conflict_win_.mean() >= config_.conflict_hi) {
+    conflict_gate_.raise();
+  } else {
+    conflict_gate_.settle();
   }
 
   // Speculation gate around the optmodel break-even (speculative mode only
-  // pays above it): closes on the windowed mean like the PR 3 accuracy
+  // pays above it): closes on the windowed mean like the per-call accuracy
   // gate, reopens on a streak of accurate probes.
-  if (config_.allow_speculative && accuracy_epochs_ >= config_.min_samples) {
-    if (spec_open_ && accuracy_win_.mean() < accuracy_off_threshold()) {
-      spec_open_ = false;
-      accurate_streak_ = 0;
-    } else if (!spec_open_ && accurate_streak_ >= config_.release_streak) {
-      spec_open_ = true;
+  if (config_.allow_speculative &&
+      stats_.accuracy_epochs >= config_.min_samples) {
+    if (!spec_gate_.engaged() && accuracy_win_.mean() < band_.off) {
+      spec_gate_.raise();
+    } else {
+      spec_gate_.settle();
     }
   }
   if (steady_mode() != before) stats_.mode_flips++;
@@ -277,12 +253,8 @@ void AdaptiveBatchController::observe(const EpochFeedback& feedback) {
 AdaptiveBatchStats AdaptiveBatchController::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   AdaptiveBatchStats out = stats_;
-  out.accuracy_epochs = accuracy_epochs_;
   out.epoch_size = epoch_size_;
-  out.mode = per_txn_ ? BatchMode::kPerTxn2pc
-                      : (spec_open_ && config_.allow_speculative
-                             ? BatchMode::kSpeculative
-                             : BatchMode::kGroupCommit);
+  out.mode = steady_mode();
   out.conflict_ewma = conflict_ewma_.value();
   out.conflict_windowed = conflict_win_.mean();
   out.accuracy_ewma = accuracy_ewma_.value();

@@ -20,7 +20,8 @@
 //   * pressure   — the admission ladder's level (DESIGN.md §11), so epochs
 //                  stop growing while the cluster is shedding load.
 //
-// Two sticky gates with hysteresis pick the mode:
+// Two sticky gates with hysteresis pick the mode (each a one-level
+// stats::HysteresisGate; they share one probe cadence):
 //
 //   per-txn gate     engages when the windowed conflict signal crosses
 //                    `conflict_hi`; releases after `release_streak`
@@ -76,7 +77,9 @@
 
 #include "batch/types.h"
 #include "common/types.h"
+#include "optmodel/model.h"
 #include "stats/ewma.h"
+#include "stats/hysteresis.h"
 
 namespace srpc::batch {
 
@@ -200,21 +203,24 @@ class AdaptiveBatchController {
   const AdaptiveBatchConfig& config() const { return config_; }
 
   /// Accuracy below/above which the speculation gate closes/reopens.
-  double accuracy_off_threshold() const;
-  double accuracy_on_threshold() const;
+  double accuracy_off_threshold() const { return band_.off; }
+  double accuracy_on_threshold() const { return band_.on; }
 
  private:
   std::size_t clamp_size(double size) const;
+  BatchMode steady_mode() const;
 
   AdaptiveBatchConfig config_;
-  double break_even_;
+  opt::AccuracyBand band_;
 
   mutable std::mutex mu_;
-  // Gates (sticky; see file comment for the bands).
-  bool per_txn_ = false;
-  bool spec_open_ = true;
+  // Gates (sticky; see file comment for the bands). Their release streaks
+  // bank every reading, warm-up included; the gates move only once the
+  // estimators are trusted. One probe cadence runs while either suppresses.
+  stats::HysteresisGate conflict_gate_;  // the per-txn gate: engaged = 2PC
+  stats::HysteresisGate spec_gate_;      // engaged = speculation closed
+  stats::ProbeCadence probe_;
   std::size_t epoch_size_;
-  std::uint64_t epochs_since_probe_ = 0;
 
   // Signal estimators (guarded by mu_).
   stats::Ewma conflict_ewma_;
@@ -223,12 +229,6 @@ class AdaptiveBatchController {
   stats::WindowedMean accuracy_win_;
   stats::Ewma latency_ewma_;   // ms per wire read, long-run
   stats::WindowedMean latency_win_;
-  std::uint64_t accuracy_epochs_ = 0;  // epochs that carried seed samples
-  // Gate-release streaks: consecutive calm batched epochs (conflict <=
-  // conflict_lo) and consecutive accurate seeded epochs (accuracy >= on
-  // threshold). While a gate is engaged these only advance on probe epochs.
-  std::uint64_t calm_streak_ = 0;
-  std::uint64_t accurate_streak_ = 0;
   // Goodput hill climber (see file comment).
   int climb_dir_ = 1;
   std::uint64_t hold_count_ = 0;

@@ -62,6 +62,11 @@ double break_even_accuracy(double misspec_cost) {
   return misspec_cost / (1.0 + misspec_cost);
 }
 
+AccuracyBand break_even_band(double misspec_cost, double hysteresis) {
+  const double centre = break_even_accuracy(misspec_cost);
+  return {centre - hysteresis, centre + hysteresis};
+}
+
 double max_speedup_general(const std::vector<Stage>& stages) {
   if (stages.empty()) return 1.0;
   double old_time = 0.0;

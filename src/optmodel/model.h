@@ -73,8 +73,16 @@ double t_new_fixed_p(int stages, double p, double T = 1.0);
 double speculation_benefit(double p, double misspec_cost, double T = 1.0);
 
 /// The break-even accuracy: speculation_benefit(p*, misspec_cost) == 0,
-/// i.e. p* = misspec_cost / (1 + misspec_cost). The adaptive controller
-/// centres its hysteresis band on this threshold.
+/// i.e. p* = misspec_cost / (1 + misspec_cost). The adaptive controllers
+/// centre their hysteresis band on this threshold.
 double break_even_accuracy(double misspec_cost);
+
+/// The band break_even_accuracy(misspec_cost) ± hysteresis: an accuracy
+/// gate closes below `off` and reopens at or above `on`. Unclamped.
+struct AccuracyBand {
+  double off = 0.0;
+  double on = 0.0;
+};
+AccuracyBand break_even_band(double misspec_cost, double hysteresis);
 
 }  // namespace srpc::opt

@@ -9,9 +9,9 @@
 //   * an EWMA hit-rate (stats::Ewma) — the controller's primary signal;
 //     recent behaviour dominates so accuracy shifts are tracked quickly,
 //   * an exact windowed rate over the last `window` outcomes
-//     (stats::WindowedRate) — fully forgets old history, so a
-//     misspeculation storm is visible at full strength even after a long
-//     correct prefix.
+//     (stats::WindowedMean over 0/1 samples) — fully forgets old history,
+//     so a misspeculation storm is visible at full strength even after a
+//     long correct prefix.
 //
 // Calls for which the predictor supplied nothing can be recorded as
 // "shadow" outcomes (predicted=false): they count samples (the predictor
@@ -63,7 +63,7 @@ class AccuracyTracker {
     e.predictions++;
     e.hits += correct ? 1 : 0;
     e.ewma.observe(correct ? 1.0 : 0.0);
-    e.window.record(correct);
+    e.window.observe(correct ? 1.0 : 0.0);
   }
 
   /// EWMA hit-rate for `method`; `fallback` when it has no samples yet.
@@ -78,7 +78,7 @@ class AccuracyTracker {
                            double fallback = 0.0) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(method);
-    return it != entries_.end() ? it->second.window.rate(fallback) : fallback;
+    return it != entries_.end() ? it->second.window.mean(fallback) : fallback;
   }
 
   /// Number of issued-prediction outcomes recorded for `method`.
@@ -121,7 +121,7 @@ class AccuracyTracker {
     explicit Entry(const AccuracyConfig& c)
         : ewma(c.ewma_alpha), window(c.window) {}
     stats::Ewma ewma;
-    stats::WindowedRate window;
+    stats::WindowedMean window;
     std::uint64_t predictions = 0;
     std::uint64_t hits = 0;
     std::uint64_t no_prediction = 0;
@@ -137,7 +137,7 @@ class AccuracyTracker {
 
   static void fill(MethodAccuracy& out, const Entry& e) {
     out.ewma_hit_rate = e.ewma.value();
-    out.windowed_hit_rate = e.window.rate();
+    out.windowed_hit_rate = e.window.mean();
     out.predictions = e.predictions;
     out.hits = e.hits;
     out.no_prediction = e.no_prediction;

@@ -12,7 +12,10 @@ AdmissionController::AdmissionController(AdmissionConfig config,
       tracker_(tracker),
       demote_below_(config.demote_below_accuracy >= 0.0
                         ? config.demote_below_accuracy
-                        : opt::break_even_accuracy(1.0)) {}
+                        : opt::break_even_accuracy(1.0)),
+      ladder_(static_cast<int>(AdmissionLevel::kShedAll),
+              static_cast<std::uint64_t>(
+                  std::max(0, config.calm_polls_to_step_down))) {}
 
 void AdmissionController::add_source(PressureSource source) {
   std::lock_guard<std::mutex> lock(poll_mu_);
@@ -108,38 +111,29 @@ void AdmissionController::poll_locked() {
   }
   shed_delta_last_.store(shed_delta_total, std::memory_order_relaxed);
 
-  const int level = level_.load(std::memory_order_relaxed);
+  // Escalate immediately: overload compounds, the ladder must not lag it.
+  // De-escalate only after a sustained calm run; a reading in the band
+  // (between lo and hi) holds the level and forfeits banked calm credit.
   if (hot) {
-    // Escalate immediately: overload compounds, the ladder must not lag it.
-    calm_streak_ = 0;
-    if (level < static_cast<int>(AdmissionLevel::kShedAll)) {
-      level_.store(level + 1, std::memory_order_release);
-      escalations_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (calm && level > 0) {
-    // De-escalate only after a sustained calm run — the reopen half of the
-    // hysteresis, mirroring the adaptive gate's on-threshold band.
-    if (++calm_streak_ >= config_.calm_polls_to_step_down) {
-      calm_streak_ = 0;
-      level_.store(level - 1, std::memory_order_release);
-      deescalations_.fetch_add(1, std::memory_order_relaxed);
-    }
+    ladder_.raise();
   } else {
-    // The hysteresis band (between lo and hi): hold the level, and don't
-    // bank calm credit from before the excursion.
-    calm_streak_ = 0;
+    ladder_.observe(calm);
   }
+  level_.store(ladder_.level(), std::memory_order_release);
 }
 
 AdmissionController::Snapshot AdmissionController::stats() const {
   Snapshot out;
+  {
+    std::lock_guard<std::mutex> lock(poll_mu_);
+    out.escalations = ladder_.raises();
+    out.deescalations = ladder_.lowers();
+  }
   out.level = level();
   out.admitted = admitted_.load(std::memory_order_relaxed);
   out.shed = shed_.load(std::memory_order_relaxed);
   out.demotions = demotions_.load(std::memory_order_relaxed);
   out.polls = polls_.load(std::memory_order_relaxed);
-  out.escalations = escalations_.load(std::memory_order_relaxed);
-  out.deescalations = deescalations_.load(std::memory_order_relaxed);
   out.shed_delta_last = shed_delta_last_.load(std::memory_order_relaxed);
   return out;
 }

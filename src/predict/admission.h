@@ -12,13 +12,14 @@
 //   kShedNormal      normal traffic off too — only critical speculates
 //   kShedAll         nobody speculates (pure TradRPC)
 //
-// with the same hysteresis shape as the AdaptiveSpeculationController's
-// accuracy gate: one hot poll escalates a level immediately, but stepping
-// back down requires `calm_polls_to_step_down` consecutive calm polls, and
-// readings between the lo and hi thresholds hold the current level (the
-// hysteresis band). Shed counters are read as monotone deltas-since-last-
-// poll (stats::MonotoneDelta), so a counter reset upstream — a transport
-// restart — reads as zero pressure for one interval, never as negative.
+// kept by one stats::HysteresisGate, the shape of the AdaptiveSpeculation-
+// Controller's accuracy gate: one hot poll escalates a level immediately,
+// but stepping back down requires `calm_polls_to_step_down` consecutive calm
+// polls, and readings between the lo and hi thresholds hold the current
+// level (the hysteresis band). Shed counters are read as monotone
+// deltas-since-last-poll (stats::MonotoneDelta), so a counter reset
+// upstream — a transport restart — reads as zero pressure for one interval,
+// never as negative.
 //
 // Accuracy-driven demotion: under pressure (any level above kOpen), a
 // method whose tracked hit-rate sits below the break-even accuracy is
@@ -43,6 +44,7 @@
 #include "common/types.h"
 #include "predict/accuracy.h"
 #include "specrpc/qos.h"
+#include "stats/hysteresis.h"
 #include "stats/monotone.h"
 
 namespace srpc::predict {
@@ -149,16 +151,16 @@ class AdmissionController {
   const AccuracyTracker* tracker_;
   double demote_below_;
 
-  /// The ladder level, lock-free for the admit() fast path.
+  /// The ladder level, published lock-free for the admit() fast path.
   std::atomic<int> level_{0};
   std::atomic<std::int64_t> last_poll_ns_{0};
 
-  /// Guards the poll state (sources, deltas, streaks). admit() only
+  /// Guards the poll state (sources, deltas, ladder). admit() only
   /// try_locks it; the losing caller proceeds on the last published level.
-  std::mutex poll_mu_;
+  mutable std::mutex poll_mu_;
   std::vector<PressureSource> sources_;
   std::vector<stats::MonotoneDelta> shed_deltas_;
-  int calm_streak_ = 0;
+  stats::HysteresisGate ladder_;
 
   mutable std::mutex methods_mu_;
   std::unordered_map<std::string, spec::QosPriority> priorities_;
@@ -167,8 +169,6 @@ class AdmissionController {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> demotions_{0};
   std::atomic<std::uint64_t> polls_{0};
-  std::atomic<std::uint64_t> escalations_{0};
-  std::atomic<std::uint64_t> deescalations_{0};
   std::atomic<std::uint64_t> shed_delta_last_{0};
 };
 

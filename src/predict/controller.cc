@@ -2,22 +2,15 @@
 
 #include <algorithm>
 
-#include "optmodel/model.h"
-
 namespace srpc::predict {
 
 AdaptiveSpeculationController::AdaptiveSpeculationController(
     const AccuracyTracker& tracker, AdaptiveConfig config)
     : tracker_(tracker),
       config_(config),
-      break_even_(opt::break_even_accuracy(config.misspec_cost)) {}
-
-double AdaptiveSpeculationController::off_threshold() const {
-  return std::max(0.0, break_even_ - config_.hysteresis);
-}
-
-double AdaptiveSpeculationController::on_threshold() const {
-  return std::min(1.0, break_even_ + config_.hysteresis);
+      band_(opt::break_even_band(config.misspec_cost, config.hysteresis)) {
+  band_.off = std::max(0.0, band_.off);
+  band_.on = std::min(1.0, band_.on);
 }
 
 bool AdaptiveSpeculationController::should_speculate(
@@ -29,26 +22,15 @@ bool AdaptiveSpeculationController::should_speculate(
   const double smoothed = tracker_.hit_rate(method, 1.0);
 
   std::lock_guard<std::mutex> lock(mu_);
-  Gate& g = gate(method);
+  Gate& g = gates_.try_emplace(method, config_.probe_every).first->second;
   if (samples >= config_.min_samples) {
-    if (g.open && windowed < off_threshold()) {
-      g.open = false;
-      g.flips++;
-      g.calls_since_probe = 0;
-    } else if (!g.open && windowed >= on_threshold() &&
-               smoothed >= on_threshold()) {
-      g.open = true;
-      g.flips++;
+    if (!g.gate.engaged() && windowed < band_.off) {
+      g.gate.raise();
+    } else {
+      g.gate.observe(windowed >= band_.on && smoothed >= band_.on);
     }
   }
-  if (g.open) {
-    g.allowed++;
-    return true;
-  }
-  if (config_.probe_every > 0 &&
-      ++g.calls_since_probe >= config_.probe_every) {
-    g.calls_since_probe = 0;
-    g.probes++;
+  if (!g.gate.engaged() || g.gate.probe()) {
     g.allowed++;
     return true;
   }
@@ -59,12 +41,7 @@ bool AdaptiveSpeculationController::should_speculate(
 bool AdaptiveSpeculationController::gate_open(const std::string& method) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gates_.find(method);
-  return it == gates_.end() ? true : it->second.open;
-}
-
-AdaptiveSpeculationController::Gate& AdaptiveSpeculationController::gate(
-    const std::string& method) {
-  return gates_[method];
+  return it == gates_.end() || !it->second.gate.engaged();
 }
 
 AdaptiveSpeculationController::MethodDecisionStats
@@ -75,29 +52,11 @@ AdaptiveSpeculationController::stats(const std::string& method) const {
   auto it = gates_.find(method);
   if (it == gates_.end()) return out;
   const Gate& g = it->second;
-  out.open = g.open;
+  out.open = !g.gate.engaged();
   out.allowed = g.allowed;
   out.suppressed = g.suppressed;
-  out.probes = g.probes;
-  out.flips = g.flips;
-  return out;
-}
-
-std::vector<AdaptiveSpeculationController::MethodDecisionStats>
-AdaptiveSpeculationController::stats_all() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MethodDecisionStats> out;
-  out.reserve(gates_.size());
-  for (const auto& [method, g] : gates_) {
-    MethodDecisionStats m;
-    m.method = method;
-    m.open = g.open;
-    m.allowed = g.allowed;
-    m.suppressed = g.suppressed;
-    m.probes = g.probes;
-    m.flips = g.flips;
-    out.push_back(std::move(m));
-  }
+  out.probes = g.gate.probes();
+  out.flips = g.gate.flips();
   return out;
 }
 

@@ -16,19 +16,22 @@
 // calls; with it, storms throttle speculation and stay throttled until the
 // predictor demonstrably recovers.
 //
-// While a method's gate is off, every `probe_every`-th call is still
-// allowed to speculate. Combined with the engine's shadow feedback
-// (predictions_made == 0 calls still report to the observer), this keeps
-// the accuracy estimate live so the gate can re-open.
+// Each method's gate is a stats::HysteresisGate with one level (engaged =
+// speculation off) and a release streak of one reading. While a method's
+// gate is off, every `probe_every`-th call is still allowed to speculate.
+// Combined with the engine's shadow feedback (predictions_made == 0 calls
+// still report to the observer), this keeps the accuracy estimate live so
+// the gate can re-open.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
+#include "optmodel/model.h"
 #include "predict/accuracy.h"
+#include "stats/hysteresis.h"
 
 namespace srpc::predict {
 
@@ -60,8 +63,8 @@ class AdaptiveSpeculationController {
   bool gate_open(const std::string& method) const;
 
   /// The accuracy below/above which the gate closes/opens.
-  double off_threshold() const;
-  double on_threshold() const;
+  double off_threshold() const { return band_.off; }
+  double on_threshold() const { return band_.on; }
 
   struct MethodDecisionStats {
     std::string method;
@@ -72,25 +75,20 @@ class AdaptiveSpeculationController {
     std::uint64_t flips = 0;   // gate transitions (both directions)
   };
   MethodDecisionStats stats(const std::string& method) const;
-  std::vector<MethodDecisionStats> stats_all() const;
 
   const AdaptiveConfig& config() const { return config_; }
 
  private:
   struct Gate {
-    bool open = true;
+    explicit Gate(std::uint64_t probe_every) : gate(1, 1, probe_every) {}
+    stats::HysteresisGate gate;  // engaged = speculation off
     std::uint64_t allowed = 0;
     std::uint64_t suppressed = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t flips = 0;
-    std::uint64_t calls_since_probe = 0;
   };
-
-  Gate& gate(const std::string& method);
 
   const AccuracyTracker& tracker_;
   AdaptiveConfig config_;
-  double break_even_;
+  opt::AccuracyBand band_;  // clamped to [0, 1]
   mutable std::mutex mu_;
   std::unordered_map<std::string, Gate> gates_;
 };

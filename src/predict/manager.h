@@ -55,6 +55,16 @@ struct ManagerStats {
   std::uint64_t admission_shed = 0;        // calls the overload ladder shed
   std::uint64_t predictor_empty = 0;       // gate open but predictor cold
   std::uint64_t learned = 0;               // actuals fed to the predictor
+
+  ManagerStats& operator+=(const ManagerStats& o) {
+    supplier_calls += o.supplier_calls;
+    predictions_supplied += o.predictions_supplied;
+    gate_suppressed += o.gate_suppressed;
+    admission_shed += o.admission_shed;
+    predictor_empty += o.predictor_empty;
+    learned += o.learned;
+    return *this;
+  }
 };
 
 class SpeculationManager {

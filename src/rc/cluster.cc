@@ -260,35 +260,14 @@ batch::AdaptiveBatchStats RcCluster::adaptive_batch_stats() const {
 
 predict::ManagerStats RcCluster::predict_stats() const {
   predict::ManagerStats total;
-  for (const auto& mgr : predict_managers_) {
-    const auto s = mgr->stats();
-    total.supplier_calls += s.supplier_calls;
-    total.predictions_supplied += s.predictions_supplied;
-    total.gate_suppressed += s.gate_suppressed;
-    total.predictor_empty += s.predictor_empty;
-    total.learned += s.learned;
-  }
+  for (const auto& mgr : predict_managers_) total += mgr->stats();
   return total;
 }
 
 spec::SpecStats RcCluster::spec_stats() const {
   spec::SpecStats total;
   for (const auto& node : nodes_) {
-    if (!node->spec_engine) continue;
-    const auto s = node->spec_engine->stats();
-    total.calls_issued += s.calls_issued;
-    total.quorum_calls_issued += s.quorum_calls_issued;
-    total.callbacks_spawned += s.callbacks_spawned;
-    total.reexecutions += s.reexecutions;
-    total.predictions_made += s.predictions_made;
-    total.predictions_correct += s.predictions_correct;
-    total.predictions_incorrect += s.predictions_incorrect;
-    total.branches_abandoned += s.branches_abandoned;
-    total.rollbacks_run += s.rollbacks_run;
-    total.state_msgs_sent += s.state_msgs_sent;
-    total.spec_returns += s.spec_returns;
-    total.spec_blocks += s.spec_blocks;
-    total.retries += s.retries;
+    if (node->spec_engine) total += node->spec_engine->stats();
   }
   return total;
 }

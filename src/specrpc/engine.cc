@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <random>
 #include <thread>
 #include <utility>
 
@@ -31,7 +32,11 @@ thread_local ExecScope* tl_scope = nullptr;
 
 // Call ids must be globally unique: servers key incoming RPCs, predicted
 // responses and state-change messages by id alone, and several engines talk
-// to one server. High bits: engine instance; low 40 bits: per-engine counter.
+// to one server, from this process and others. Low 40 bits: per-engine
+// counter; high 24 bits: engine instance plus a random per-process nonce, so
+// engines numbered alike in different processes (rc_cluster_node children
+// sharing servers) draw different ids unless two nonces land within a few
+// instances of each other.
 std::atomic<std::uint64_t> g_engine_instance{1};
 
 ExecScope::ExecScope(const SpecEngine* engine_in, SpecNode::Ptr n)
@@ -55,8 +60,10 @@ SpecEngine::SpecEngine(Transport& transport, Executor& executor,
       executor_(executor),
       wheel_(wheel),
       config_(config) {
+  static const std::uint64_t nonce = std::random_device{}();
   const std::uint64_t instance = g_engine_instance.fetch_add(1);
-  next_call_id_.store((instance << 40) + 1, std::memory_order_relaxed);
+  next_call_id_.store(((nonce + instance) << 40) + 1,
+                      std::memory_order_relaxed);
   const std::size_t n = resolve_shards(config_.shards);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -123,6 +123,27 @@ struct SpecStats {
   std::uint64_t budget_acquired = 0;  // tokens taken by speculative branches
   std::uint64_t budget_released = 0;  // tokens returned on completion
   std::uint64_t budget_denied = 0;    // speculation skipped: no headroom
+
+  SpecStats& operator+=(const SpecStats& o) {
+    calls_issued += o.calls_issued;
+    quorum_calls_issued += o.quorum_calls_issued;
+    callbacks_spawned += o.callbacks_spawned;
+    reexecutions += o.reexecutions;
+    predictions_made += o.predictions_made;
+    predictions_correct += o.predictions_correct;
+    predictions_incorrect += o.predictions_incorrect;
+    branches_abandoned += o.branches_abandoned;
+    rollbacks_run += o.rollbacks_run;
+    state_msgs_sent += o.state_msgs_sent;
+    spec_returns += o.spec_returns;
+    spec_blocks += o.spec_blocks;
+    retries += o.retries;
+    early_state_evictions += o.early_state_evictions;
+    budget_acquired += o.budget_acquired;
+    budget_released += o.budget_released;
+    budget_denied += o.budget_denied;
+    return *this;
+  }
 };
 
 class SpecEngine {

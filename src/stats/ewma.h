@@ -3,16 +3,16 @@
 //
 // Ewma: exponentially weighted moving average over a stream of samples —
 // the estimator behind per-method prediction hit-rates (recent behaviour
-// dominates, old history decays geometrically). WindowedRate: exact hit
-// fraction over the last `window` boolean outcomes (a ring buffer), used
-// where a bounded, fully-forgetting counter is wanted (misspeculation-storm
-// detection must not be diluted by a long correct history).
+// dominates, old history decays geometrically). WindowedMean: exact mean
+// over the last `window` samples (a ring buffer), used where a bounded,
+// fully-forgetting estimate is wanted (misspeculation-storm detection must
+// not be diluted by a long correct history). Over 0/1 samples it is an
+// exact hit fraction: every partial sum is a small integer, so no rounding.
 //
 // Neither class locks; owners that share instances across threads guard
 // them externally (see predict::AccuracyTracker).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,12 +38,6 @@ class Ewma {
     return count_ > 0 ? value_ : fallback;
   }
   std::uint64_t count() const { return count_; }
-  double alpha() const { return alpha_; }
-
-  void reset() {
-    value_ = 0.0;
-    count_ = 0;
-  }
 
  private:
   double alpha_;
@@ -51,57 +45,9 @@ class Ewma {
   std::uint64_t count_ = 0;
 };
 
-class WindowedRate {
- public:
-  explicit WindowedRate(std::size_t window = 64)
-      : slots_(window > 0 ? window : 1, false) {}
-
-  void record(bool hit) {
-    if (filled_ == slots_.size()) {
-      // Evict the slot we are about to overwrite.
-      hits_ -= slots_[next_] ? 1 : 0;
-    } else {
-      ++filled_;
-    }
-    slots_[next_] = hit;
-    hits_ += hit ? 1 : 0;
-    next_ = (next_ + 1) % slots_.size();
-    ++total_;
-  }
-
-  /// Hit fraction over the retained window; `fallback` when empty.
-  double rate(double fallback = 0.0) const {
-    return filled_ > 0 ? static_cast<double>(hits_) /
-                             static_cast<double>(filled_)
-                       : fallback;
-  }
-  std::size_t window() const { return slots_.size(); }
-  std::size_t occupied() const { return filled_; }
-  /// Lifetime count of recorded outcomes (not bounded by the window).
-  std::uint64_t total() const { return total_; }
-  std::uint64_t hits_in_window() const { return hits_; }
-
-  void reset() {
-    std::fill(slots_.begin(), slots_.end(), false);
-    filled_ = 0;
-    hits_ = 0;
-    next_ = 0;
-    total_ = 0;
-  }
-
- private:
-  std::vector<bool> slots_;
-  std::size_t filled_ = 0;
-  std::size_t next_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Exact mean over the last `window` real-valued samples (ring buffer) —
-/// the fully-forgetting counterpart of Ewma for non-boolean signals, used
-/// by the adaptive batch controller where a conflict spike must show at
-/// full strength even after a long calm history (the WindowedRate idea,
-/// lifted from booleans to means).
+/// Exact mean over the last `window` samples (ring buffer) — the
+/// fully-forgetting counterpart of Ewma: a hit-rate storm or a conflict
+/// spike shows at full strength even after a long calm history.
 class WindowedMean {
  public:
   explicit WindowedMean(std::size_t window = 16)
@@ -123,17 +69,8 @@ class WindowedMean {
   double mean(double fallback = 0.0) const {
     return filled_ > 0 ? sum_ / static_cast<double>(filled_) : fallback;
   }
-  std::size_t window() const { return slots_.size(); }
   std::size_t occupied() const { return filled_; }
   std::uint64_t total() const { return total_; }
-
-  void reset() {
-    std::fill(slots_.begin(), slots_.end(), 0.0);
-    filled_ = 0;
-    next_ = 0;
-    sum_ = 0.0;
-    total_ = 0;
-  }
 
  private:
   std::vector<double> slots_;

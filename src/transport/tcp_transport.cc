@@ -27,11 +27,11 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Consumed-prefix compaction threshold: move bytes only once the dead
 /// prefix is both sizeable and the majority of the buffer.
 constexpr std::size_t kCompactBytes = 64 * 1024;
-/// iovec slots per writev (2 per frame: header + payload).
+/// iovec slots per sendmsg (2 per frame: header + payload).
 constexpr int kMaxIov = 64;
 /// Frames with payloads at or below this are memcpy'd into the connection's
 /// stage buffer and share one iovec: a burst of tiny frames then costs one
-/// writev regardless of count, instead of hitting the kMaxIov ceiling at 32
+/// sendmsg regardless of count, instead of hitting the kMaxIov ceiling at 32
 /// frames. Larger payloads keep their zero-copy iovec.
 constexpr std::size_t kSmallFrameBytes = 4096;
 
@@ -476,7 +476,7 @@ void TcpTransport::drain_conn(Reactor& r, const ConnPtr& connp) {
     if (conn.drain_frame == conn.draining.size()) {
       // Refill: recycle spent payload buffers, then swap in the pending
       // queue (double buffering — senders appended to it lock-free w.r.t.
-      // the writev below).
+      // the sendmsg below).
       for (auto& frame : conn.draining)
         BufferPool::release(std::move(frame.payload));
       conn.draining.clear();
@@ -506,7 +506,7 @@ void TcpTransport::drain_conn(Reactor& r, const ConnPtr& connp) {
         return;
       }
     }
-    // Gather up to coalesce_bytes of frames into one writev. Small frames
+    // Gather up to coalesce_bytes of frames into one sendmsg. Small frames
     // are memcpy'd into the stage buffer (contiguous spans, one iovec per
     // span); large payloads go zero-copy with their own iovecs. The stage
     // is rebuilt from (drain_frame, drain_off) on every attempt, so a
@@ -573,7 +573,12 @@ void TcpTransport::drain_conn(Reactor& r, const ConnPtr& connp) {
       ++fi;
       off = 0;
     }
-    const ssize_t n = writev(conn.fd, iov, iovcnt);
+    // MSG_NOSIGNAL: a peer that already closed is an EPIPE, which closes
+    // the connection below, not a SIGPIPE that kills the process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    const ssize_t n = sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOTCONN) {

@@ -22,7 +22,7 @@
 //   * The reactor drains a connection by swapping the pending queue for
 //     its private draining queue (double buffering: senders never wait on
 //     the syscall) and gathering up to TcpConfig::coalesce_bytes of frame
-//     headers + payloads into one writev. On EAGAIN it arms EPOLLOUT for
+//     headers + payloads into one sendmsg. On EAGAIN it arms EPOLLOUT for
 //     that connection only; once drained it disarms.
 //
 //   * Inbound bytes are read into a BufferPool-recycled buffer and frames
@@ -81,7 +81,7 @@ struct TcpConfig {
   /// connection (frames_rejected); oversized send() payloads are refused
   /// and counted as send_drops.
   std::size_t max_frame_bytes = 64u << 20;
-  /// Max bytes gathered into a single writev (frame boundaries respected).
+  /// Max bytes gathered into a single sendmsg (frame boundaries respected).
   std::size_t coalesce_bytes = 256u << 10;
   /// SO_SNDBUF for every connection; 0 = kernel default/autotuning. Tests
   /// set this small so the outbuf watermark — not megabytes of kernel
@@ -118,7 +118,7 @@ class TcpTransport final : public Transport {
  private:
   /// One length-prefixed frame awaiting transmission. The header (length +
   /// marker) lives inline; the payload is the caller's Bytes, moved — the
-  /// writev gather is the first and only time the bytes are walked.
+  /// sendmsg gather is the first and only time the bytes are walked.
   struct OutFrame {
     std::array<std::uint8_t, 5> header;
     Bytes payload;
@@ -146,7 +146,7 @@ class TcpTransport final : public Transport {
     std::vector<OutFrame> draining;
     std::size_t drain_frame = 0;  // first unsent frame in draining
     std::size_t drain_off = 0;    // bytes of that frame already written
-    Bytes stage;  // small-frame coalescing buffer for the writev gather
+    Bytes stage;  // small-frame coalescing buffer for the sendmsg gather
     bool epoll_added = false;
     bool epollout_armed = false;
     /// Receive buffer. inbuf.size() is allocated space (grown, never shrunk

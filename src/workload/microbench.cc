@@ -401,25 +401,10 @@ MicroResult run_microbench(const MicroConfig& config, Duration warmup,
     result.client_traffic += fixture.net->stats(addr);
   for (const auto& addr : fixture.server_addrs)
     result.server_traffic += fixture.net->stats(addr);
-  for (const auto& engine : fixture.spec_clients) {
-    const auto s = engine->stats();
-    result.spec.calls_issued += s.calls_issued;
-    result.spec.callbacks_spawned += s.callbacks_spawned;
-    result.spec.reexecutions += s.reexecutions;
-    result.spec.predictions_made += s.predictions_made;
-    result.spec.predictions_correct += s.predictions_correct;
-    result.spec.predictions_incorrect += s.predictions_incorrect;
-    result.spec.branches_abandoned += s.branches_abandoned;
-    result.spec.rollbacks_run += s.rollbacks_run;
-  }
-  for (const auto& mgr : fixture.predict_managers) {
-    const auto s = mgr->stats();
-    result.managers.supplier_calls += s.supplier_calls;
-    result.managers.predictions_supplied += s.predictions_supplied;
-    result.managers.gate_suppressed += s.gate_suppressed;
-    result.managers.predictor_empty += s.predictor_empty;
-    result.managers.learned += s.learned;
-  }
+  for (const auto& engine : fixture.spec_clients)
+    result.spec += engine->stats();
+  for (const auto& mgr : fixture.predict_managers)
+    result.managers += mgr->stats();
   return result;
 }
 

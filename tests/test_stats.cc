@@ -1,4 +1,5 @@
-// Histogram/percentile/CDF statistics used by the benchmark harness.
+// Histogram/percentile/CDF statistics used by the benchmark harness, and
+// the online estimators and hysteresis gate the adaptive controllers use.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -6,6 +7,7 @@
 #include "common/rng.h"
 #include "stats/ewma.h"
 #include "stats/histogram.h"
+#include "stats/hysteresis.h"
 
 namespace srpc::stats {
 namespace {
@@ -138,23 +140,24 @@ TEST(Ewma, TracksAlternatingStreamToMean) {
   EXPECT_NEAR(e.value(), 0.5, 0.06);
 }
 
+// A windowed hit rate is a WindowedMean over 0/1 outcomes (AccuracyTracker).
 TEST(WindowedRate, ExactOverPartialWindow) {
-  WindowedRate w(8);
-  EXPECT_DOUBLE_EQ(w.rate(0.9), 0.9);  // fallback when empty
-  w.record(true);
-  w.record(false);
-  w.record(true);
+  WindowedMean w(8);
+  EXPECT_DOUBLE_EQ(w.mean(0.9), 0.9);  // fallback when empty
+  w.observe(1.0);
+  w.observe(0.0);
+  w.observe(1.0);
   EXPECT_EQ(w.occupied(), 3u);
-  EXPECT_DOUBLE_EQ(w.rate(), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(w.mean(), 2.0 / 3.0);
 }
 
 TEST(WindowedRate, EvictsOldestOnceFull) {
-  WindowedRate w(4);
-  for (int i = 0; i < 4; ++i) w.record(true);
-  EXPECT_DOUBLE_EQ(w.rate(), 1.0);
+  WindowedMean w(4);
+  for (int i = 0; i < 4; ++i) w.observe(1.0);
+  EXPECT_DOUBLE_EQ(w.mean(), 1.0);
   // Four misses push every hit out of the window.
-  for (int i = 0; i < 4; ++i) w.record(false);
-  EXPECT_DOUBLE_EQ(w.rate(), 0.0);
+  for (int i = 0; i < 4; ++i) w.observe(0.0);
+  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
   EXPECT_EQ(w.occupied(), 4u);
   EXPECT_EQ(w.total(), 8u);
 }
@@ -162,18 +165,63 @@ TEST(WindowedRate, EvictsOldestOnceFull) {
 TEST(WindowedRate, ForgetsFullyUnlikeEwma) {
   // The motivating property: after a misspeculation storm, the windowed
   // estimate reflects only recent outcomes regardless of history length.
-  WindowedRate w(16);
+  WindowedMean w(16);
   Ewma e(0.05);
   for (int i = 0; i < 1000; ++i) {
-    w.record(true);
+    w.observe(1.0);
     e.observe(1.0);
   }
   for (int i = 0; i < 16; ++i) {
-    w.record(false);
+    w.observe(0.0);
     e.observe(0.0);
   }
-  EXPECT_DOUBLE_EQ(w.rate(), 0.0);
+  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
   EXPECT_GT(e.value(), 0.3);  // the EWMA still remembers the good past
+}
+
+TEST(HysteresisGate, RaisesAtOnceAndHoldsAtMax) {
+  HysteresisGate gate(/*max_level=*/2, /*release_streak=*/2);
+  EXPECT_FALSE(gate.engaged());
+  gate.raise();
+  gate.raise();
+  gate.raise();  // capped: no level, no count
+  EXPECT_EQ(gate.level(), 2);
+  EXPECT_EQ(gate.raises(), 2u);
+  EXPECT_FALSE(gate.settle());  // no calm readings banked yet
+}
+
+TEST(HysteresisGate, StepsDownOneLevelPerCalmStreak) {
+  HysteresisGate gate(2, 3, 0, /*level=*/2);
+  EXPECT_FALSE(gate.observe(true));
+  EXPECT_FALSE(gate.observe(true));
+  EXPECT_FALSE(gate.observe(false));  // a band reading forfeits the credit
+  EXPECT_FALSE(gate.observe(true));
+  EXPECT_FALSE(gate.observe(true));
+  EXPECT_TRUE(gate.observe(true));
+  EXPECT_EQ(gate.level(), 1);
+  // record() banks readings; settle() takes the step when the owner lets it.
+  for (int i = 0; i < 5; ++i) gate.record(true);
+  EXPECT_TRUE(gate.settle());
+  EXPECT_FALSE(gate.engaged());
+  EXPECT_FALSE(gate.settle());  // nothing left to release
+  EXPECT_EQ(gate.lowers(), 2u);
+  EXPECT_EQ(gate.flips(), 2u);
+}
+
+TEST(HysteresisGate, ProbesEveryNthCallWhileEngaged) {
+  HysteresisGate gate(1, 1, /*probe_every=*/3);
+  EXPECT_FALSE(gate.probe());  // disengaged: nothing to probe
+  gate.raise();
+  int probes = 0;
+  for (int i = 0; i < 9; ++i) probes += gate.probe() ? 1 : 0;
+  EXPECT_EQ(probes, 3);
+  gate.probe();
+  gate.probe();
+  gate.raise();  // a raise restarts the probe clock
+  EXPECT_FALSE(gate.probe());
+  EXPECT_FALSE(gate.probe());
+  EXPECT_TRUE(gate.probe());
+  EXPECT_EQ(gate.probes(), 4u);
 }
 
 TEST(RunStats, ThroughputFromWindow) {

@@ -627,8 +627,20 @@ TEST(TcpTransport, QuiesceUnderLoadIsARealBarrier) {
     active.fetch_sub(1);
   });
   std::atomic<bool> stop{false};
+  // The pump stays at most kBacklog frames ahead of the receiver: enough
+  // that deliveries are still queued when the receiver detaches, without
+  // the unbounded queues of an unpaced sender (gigabytes within seconds).
+  constexpr int kBacklog = 1024;
   std::thread pump([&] {
-    while (!stop.load()) client.send(server.address(), Bytes(64, 0x42));
+    int sent = 0;
+    while (!stop.load()) {
+      if (sent - delivered.load() >= kBacklog) {
+        std::this_thread::yield();
+        continue;
+      }
+      client.send(server.address(), Bytes(64, 0x42));
+      ++sent;
+    }
   });
   // Let deliveries pile up, then detach mid-stream.
   while (delivered.load() < 50) std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -658,6 +670,33 @@ TEST(ProcessCluster, TwoProcessSmoke) {
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_GT(result.committed, 0u);
   EXPECT_GT(result.mean_txn_ms, 0.0);
+}
+
+// Three DCs of SpecRPC processes. Every process numbers its engines from 1,
+// and each client process calls the servers of every DC, so two clients'
+// call ids meet at one server unless ids carry a per-process nonce; a clash
+// drops a request as a duplicate or lets a stray state-change message
+// decide another client's call.
+TEST(ProcessCluster, ThreeDcSpecClientsShareServers) {
+  if (rc::ProcessCluster::find_node_binary().empty())
+    GTEST_SKIP() << "rc_cluster_node binary not found (fork/exec unavailable "
+                    "or out-of-tree test run)";
+  rc::ProcessClusterConfig config;
+  config.flavor = Flavor::kSpec;
+  config.num_dcs = 3;  // 3 server processes + 3 client processes
+  config.clients_per_dc = 2;
+  config.num_keys = 500;
+  config.warmup = std::chrono::milliseconds(100);
+  config.measure = std::chrono::milliseconds(500);
+  rc::ProcessCluster cluster(config);
+  // The children inherit the captured stderr, so their WARN lines land here.
+  testing::internal::CaptureStderr();
+  const auto result = cluster.run();
+  const std::string log = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_GT(result.committed, 0u);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(log.find("duplicate incoming call id"), std::string::npos) << log;
 }
 
 }  // namespace
